@@ -89,8 +89,8 @@ class Session:
     engine_factory:
         Zero-argument callable building the discrete-event engine for
         each run.  Defaults to :class:`repro.simcore.events.Engine`;
-        ``repro bench-core`` passes the legacy-heap engine here to run
-        both cores side by side.
+        the equivalence tests pass the legacy reference engine here to
+        check that both engines give bit-identical results.
     telemetry:
         Default :class:`~repro.telemetry.pipeline.TelemetryConfig` for
         every :meth:`run`: counter set, periodic sampling interval,

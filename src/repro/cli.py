@@ -613,41 +613,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_core(args: argparse.Namespace) -> int:
-    from repro.experiments.bench_core import compare_to_baseline, render, run_bench_core
-
-    result = run_bench_core(
-        args.mode,
-        names=args.runs or None,
-        repeat=args.repeat,
-        platform=args.platform,
-        progress=lambda line: print(f"running {line}", file=sys.stderr),
-    )
-    print(render(result))
-    if args.out:
-        result.save(args.out)
-        print(f"\nwrote {args.out}")
-    status = 0
-    if not result.deterministic:
-        print("\nFAIL: engines disagree on simulated results", file=sys.stderr)
-        status = 1
-    if args.baseline:
-        try:
-            baseline = json.loads(open(args.baseline).read())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        failures = compare_to_baseline(result.to_dict(), baseline, threshold=args.threshold)
-        if failures:
-            print(f"\nFAIL: events/sec regression vs {args.baseline}:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            status = 1
-        else:
-            print(f"\ngate OK vs {args.baseline} (threshold {args.threshold:.0%})")
-    return status
-
-
 def cmd_bench_serve(args: argparse.Namespace) -> int:
     from repro.experiments.bench_serve import compare_to_baseline, render, run_bench_serve
 
@@ -682,31 +647,11 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
     return status
 
 
-def _compare_bench_core(args: argparse.Namespace) -> int:
-    """``repro compare`` on two BENCH_core.json artifacts."""
-    from repro.experiments.bench_core import compare_to_baseline
-
-    baseline = json.loads(open(args.baseline).read())
-    current = json.loads(open(args.current).read())
-    failures = compare_to_baseline(current, baseline, threshold=args.threshold)
-    if failures:
-        print("bench-core regression:")
-        for failure in failures:
-            print(f"  {failure}")
-        return 1
-    print(f"bench-core gate OK (threshold {args.threshold:.0%})")
-    return 0
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro.campaign.artifact import CampaignArtifact
     from repro.campaign.compare import CompareThresholds, compare_artifacts, render_compare
-    from repro.experiments.bench_core import is_bench_core_payload
 
     try:
-        with open(args.baseline) as fh:
-            if is_bench_core_payload(json.load(fh)):
-                return _compare_bench_core(args)
         baseline = CampaignArtifact.load(args.baseline)
         current = CampaignArtifact.load(args.current)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -1065,42 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true", help="per-cell progress on stderr")
     p.set_defaults(fn=cmd_campaign)
 
-    p = sub.add_parser("bench-core", help="event-core events/sec benchmark (vs legacy engine)")
-    p.add_argument(
-        "--mode",
-        choices=("quick", "reference"),
-        default="quick",
-        help="workload sizes: quick (CI perf smoke) or reference (fib(26) acceptance run)",
-    )
-    p.add_argument(
-        "--runs",
-        nargs="*",
-        default=None,
-        choices=("fib", "uts", "health"),
-        help="subset of reference workloads (default: all three)",
-    )
-    p.add_argument("--repeat", type=int, default=2, help="interleaved pairs per workload")
-    p.add_argument(
-        "--platform",
-        default=None,
-        metavar="NAME|FILE",
-        help="simulated node for the reference runs (default: ivybridge-2x10)",
-    )
-    p.add_argument("--out", default="BENCH_core.json", metavar="FILE", help="artifact path")
-    p.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="gate against this committed artifact (e.g. results/baseline_core.json)",
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.20,
-        help="allowed drop in the new/legacy events-per-sec ratio (default 0.20)",
-    )
-    p.set_defaults(fn=cmd_bench_core)
-
     p = sub.add_parser("bench-serve", help="load-test the run server (latency + cache gate)")
     p.add_argument(
         "--mode",
@@ -1132,9 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_bench_serve)
 
-    p = sub.add_parser(
-        "compare", help="diff two campaign artifacts or BENCH_core files (regression gate)"
-    )
+    p = sub.add_parser("compare", help="diff two campaign artifacts (regression gate)")
     p.add_argument("baseline", help="baseline artifact (JSON)")
     p.add_argument("current", help="current artifact (JSON)")
     p.add_argument(

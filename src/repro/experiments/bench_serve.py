@@ -17,8 +17,7 @@ and the cache-hit fast path.
 Gating is ratio-based so the committed baseline transfers across
 machines: ``p99_over_ideal`` divides p99 latency by the run's *ideal*
 makespan (total cold simulated-run wall time / workers) measured in the
-same invocation — a machine-speed control in the spirit of the
-bench-core new÷legacy ratio.
+same invocation, a machine-speed control.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
-"""Legacy discrete-event engine (pre two-tier queue).
+"""Legacy discrete-event engine: the independent reference oracle.
 
-The original binary-heap implementation, kept verbatim as the
-determinism oracle: the property tests and ``repro bench-core`` run it
+The original object-per-event binary heap, kept verbatim: the
+equivalence tests (``tests/simcore/test_queue_equivalence.py``) run it
 side by side with :mod:`repro.simcore.events` and require bit-identical
-simulated timestamps and counter values.  Do not optimise this module.
+fire order, simulated timestamps and counter values.  Only tests import
+it.  Do not optimise this module.
 
 A minimal but strict event queue: events fire in (time, sequence) order,
 where the sequence number is the order of scheduling.  Ties in time are
@@ -167,8 +168,3 @@ class LegacyEngine:
                     f"event budget exhausted ({self.max_events} events) at t={self.now}ns"
                 )
             event.callback()
-
-
-# Aliases so the legacy engine is a drop-in engine_factory.
-EventQueue = LegacyEventQueue
-Engine = LegacyEngine

@@ -7,11 +7,12 @@ scheduled delay, grouped by the event whose callback scheduled it
 run's event-queue behaviour: two runs are *bit-identical* at the event
 level iff their transcripts are equal.
 
-This is the oracle behind two gates:
+This is the oracle behind two checks:
 
-- ``repro bench-core`` replays transcripts with no-op callbacks to
-  measure the event core alone (see
-  :mod:`repro.experiments.bench_core`);
+- :func:`replay_stream` replays a transcript with no-op callbacks, so
+  the event core can be timed alone and compared across engines (the
+  equivalence tests and the repo benchmark's per-layer trace both use
+  it);
 - the golden-stream tests (``tests/test_golden_streams.py``) compare
   fresh transcripts of reference runs against committed fixtures, so a
   scheduler/interpreter refactor cannot silently change semantics.

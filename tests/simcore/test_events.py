@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simcore.events import Engine, EventQueue, SimulationError
+from repro.simcore.events import Engine, SimulationError
 
 
 def test_engine_starts_at_zero(engine):
@@ -109,26 +109,25 @@ def test_events_processed_counter(engine):
     assert engine.events_processed == 7
 
 
-def test_queue_len_skips_cancelled():
-    q = EventQueue()
-    h1 = q.push(5, lambda: None)
-    q.push(6, lambda: None)
+def test_queue_len_skips_cancelled(engine):
+    h1 = engine.schedule(5, lambda: None)
+    engine.schedule(6, lambda: None)
     h1.cancel()
-    assert len(q) == 1
-    assert q.peek_time() == 6
+    assert engine.pending_events == 1
+    h1.cancel()  # a second cancel is a no-op
+    assert engine.pending_events == 1
+    engine.run()
+    assert (engine.now, engine.events_processed) == (6, 1)
 
 
-def test_queue_pop_order():
-    q = EventQueue()
-    q.push(5, lambda: "b")
-    q.push(3, lambda: "a")
-    q.push(5, lambda: "c")
-    assert q.pop().time == 3
-    first_five = q.pop()
-    second_five = q.pop()
-    assert (first_five.time, second_five.time) == (5, 5)
-    assert first_five.seq < second_five.seq
-    assert q.pop() is None
+def test_queue_pop_order(engine):
+    """Events pop in (time, seq) order: earliest time first, ties in
+    scheduling order."""
+    fired = []
+    for time, tag in ((5, "b"), (3, "a"), (5, "c")):
+        engine.schedule(time, lambda tag=tag: fired.append((engine.now, tag)))
+    engine.run()
+    assert fired == [(3, "a"), (5, "b"), (5, "c")]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))

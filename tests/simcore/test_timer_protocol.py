@@ -1,4 +1,4 @@
-"""The Timer handle protocol: cancel / reschedule / active / cancelled.
+"""The Timer handle protocol: active / cancel.
 
 Callers (schedulers, PeriodicQuery) program against this protocol
 instead of reaching into queue internals, so its semantics are pinned
@@ -7,9 +7,7 @@ here.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.simcore.events import Engine, SimulationError, Timer
+from repro.simcore.events import Engine, Timer
 from repro.simcore.events_legacy import LegacyEngine
 
 
@@ -18,9 +16,6 @@ def test_schedule_returns_active_timer():
     timer = engine.schedule(10, lambda: None)
     assert isinstance(timer, Timer)
     assert timer.active
-    assert not timer.cancelled
-    assert timer.time == 10
-    assert timer.seq == 0
 
 
 def test_cancel_tombstones_and_is_idempotent():
@@ -29,7 +24,6 @@ def test_cancel_tombstones_and_is_idempotent():
     timer = engine.schedule(10, fired.append, 1)
     timer.cancel()
     assert not timer.active
-    assert timer.cancelled
     timer.cancel()  # idempotent: no error, no double bookkeeping
     assert engine.pending_events == 0
     engine.run()
@@ -41,59 +35,8 @@ def test_fired_timer_reports_inactive():
     timer = engine.schedule(5, lambda: None)
     engine.run()
     assert not timer.active
-    assert timer.cancelled
-
-
-def test_reschedule_moves_and_resequences():
-    """Rescheduling takes a fresh sequence number: the moved event fires
-    after anything already scheduled at its new timestamp."""
-    engine = Engine()
-    order = []
-    timer = engine.schedule(5, order.append, "moved")
-    engine.schedule(20, order.append, "resident")
-    assert timer.reschedule(at=20) is timer
-    assert timer.active
-    assert timer.time == 20
-    engine.run()
-    assert order == ["resident", "moved"]
-    assert engine.now == 20
-
-
-def test_reschedule_by_delay_is_relative_to_now():
-    engine = Engine()
-    times = []
-    timer = engine.schedule(100, lambda: times.append(engine.now))
-    engine.schedule(30, lambda: timer.reschedule(delay=5))
-    engine.run()
-    assert times == [35]
-
-
-def test_reschedule_rearms_a_fired_timer():
-    engine = Engine()
-    count = []
-    timer = engine.schedule(5, count.append, 1)
-    engine.run()
+    timer.cancel()  # cancelling a fired timer is a no-op
     assert not timer.active
-    timer.reschedule(delay=7)
-    assert timer.active
-    engine.run()
-    assert count == [1, 1]
-    assert engine.now == 12
-
-
-def test_reschedule_validation():
-    engine = Engine()
-    timer = engine.schedule(10, lambda: None)
-    with pytest.raises(ValueError):
-        timer.reschedule()  # neither
-    with pytest.raises(ValueError):
-        timer.reschedule(5, at=7)  # both
-    with pytest.raises(SimulationError):
-        timer.reschedule(delay=-1)
-    engine.schedule(50, lambda: None)
-    engine.run(until=20)
-    with pytest.raises(SimulationError):
-        timer.reschedule(at=engine.now - 1)  # in the past
 
 
 def test_event_alias_is_gone():
