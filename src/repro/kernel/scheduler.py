@@ -488,7 +488,9 @@ class StdRuntime:
             self._charge_exec(core, thread, cost)
             child.staged_at = self.engine.now
             self.run_queue.append(child)
-            self.engine.call_later(cost, self._created, core, thread, child)
+            # Pass the future, not the child: the child may run to
+            # completion (and drop its future) before this event fires.
+            self.engine.call_later(cost, self._created, core, thread, child.future)
             return
         if policy is LaunchPolicy.DEFERRED:
             child = self._make_thread(
@@ -504,11 +506,11 @@ class StdRuntime:
         )
         self._run_inline(core, thread, child, send_future=True)
 
-    def _created(self, core: _KCore, thread: OSThread, child: OSThread) -> None:
+    def _created(self, core: _KCore, thread: OSThread, future: SimFuture) -> None:
         """An async spawn finished creating its thread: dispatch it and
         resume the parent with the child's future."""
         self._dispatch()
-        self._step(core, thread, child.future)
+        self._step(core, thread, future)
 
     def _run_inline(
         self, core: _KCore, thread: OSThread, child: OSThread, *, send_future: bool
@@ -666,12 +668,18 @@ class StdRuntime:
     # -- completion -----------------------------------------------------------------
 
     def complete(self, core: _KCore, thread: OSThread, value: Any) -> None:
-        self._retire(core, thread, lambda: thread.future.set_value(value))
+        self._retire(core, thread, SimFuture.set_value, value)
 
     def fail(self, core: _KCore, thread: OSThread, exc: BaseException) -> None:
-        self._retire(core, thread, lambda: thread.future.set_exception(exc))
+        self._retire(core, thread, SimFuture.set_exception, exc)
 
-    def _retire(self, core: _KCore, thread: OSThread, fulfil: Callable[[], None]) -> None:
+    def _retire(
+        self,
+        core: _KCore,
+        thread: OSThread,
+        fulfil: Callable[[SimFuture, Any], None],
+        outcome: Any,
+    ) -> None:
         thread.state = ThreadState.TERMINATED
         stats = self.stats
         stats.tasks_executed += 1
@@ -684,10 +692,15 @@ class StdRuntime:
         cost = self.params.thread_destroy_ns if thread.committed else 0
         self._charge_overhead(core, thread, cost)
         self.probes.emit(self.engine.now, "terminate", thread, core.index)
+        # Drop the thread -> future edge: the future keeps its producer
+        # (``depend`` edges need its tid), and a retired thread is then
+        # freed by refcounting once its future is, GC paused or not.
+        future = thread.future
+        thread.future = None
         prev = self._fulfil_core
         self._fulfil_core = core
         try:
-            fulfil()
+            fulfil(future, outcome)
         finally:
             self._fulfil_core = prev
         # An inline-resume callback may have reoccupied the core (a

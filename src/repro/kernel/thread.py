@@ -61,6 +61,8 @@ class OSThread:
         self.tid = tid
         self.fn = fn
         self.args = args
+        # None once retired: the runtime takes the future to fulfil it,
+        # so only the future -> producer edge outlives the task.
         self.future = SimFuture(producer_task=self)
         self.state = ThreadState.DEFERRED if deferred else ThreadState.RUNNABLE
         self.home_socket = home_socket

@@ -685,10 +685,15 @@ class HpxRuntime:
         del self._live_tasks[task.tid]
         if self.trace:
             self.trace(self.engine.now, "terminate", task, w.index)
+        # Drop the task -> future edge: the future keeps its producer
+        # (``depend`` edges need its tid), and a retired task is then
+        # freed by refcounting once its future is, GC paused or not.
+        future = task.future
+        task.future = None
         prev = self._fulfil_worker
         self._fulfil_worker = w
         try:
-            task.future.set_value(value)
+            future.set_value(value)
         finally:
             self._fulfil_worker = prev
         self.engine.call_later(cost, self._after_task, w)
@@ -701,10 +706,12 @@ class HpxRuntime:
         self.stats.overhead_ns += task.overhead_ns
         self.stats.live_tasks -= 1
         del self._live_tasks[task.tid]
+        future = task.future  # break the cycle, as in complete()
+        task.future = None
         prev = self._fulfil_worker
         self._fulfil_worker = w
         try:
-            task.future.set_exception(exc)
+            future.set_exception(exc)
         finally:
             self._fulfil_worker = prev
         self.engine.call_later(self._cleanup_ns, self._after_task, w)

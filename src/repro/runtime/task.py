@@ -67,6 +67,8 @@ class Task:
         self.fn = fn
         self.args = args
         self.policy = policy
+        # None once retired: the runtime takes the future to fulfil it,
+        # so only the future -> producer edge outlives the task.
         self.future = SimFuture(producer_task=self)
         self.state = (TaskState.DEFERRED if policy is LaunchPolicy.DEFERRED else TaskState.PENDING)
         self.parent_tid = parent_tid

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.inncabs.suite import available_benchmarks
@@ -61,3 +66,44 @@ def test_duplicate_registration_rejected():
     entry = get_workload("fib")
     with pytest.raises(ValueError, match="already registered"):
         register_workload(WorkloadEntry(name="fib", family="test", benchmark=entry.benchmark))
+
+
+def test_every_entry_is_named_by_its_key():
+    for name in available_workloads():
+        entry = get_workload(name)
+        assert entry.name == entry.benchmark.info.name == name
+
+
+LAZY_PROBE = """
+import sys
+import repro
+from repro.workloads import WorkloadEntry, available_workloads, get_workload, register_workload
+
+def loaded():
+    return "scipy" in sys.modules, "repro.inncabs.sparselu" in sys.modules
+
+fib = get_workload("fib")
+assert loaded() == (False, False), loaded()
+assert len(available_workloads()) == 16
+assert loaded() == (False, False), loaded()
+try:
+    register_workload(WorkloadEntry(name="sparselu", family="test", benchmark=fib.benchmark))
+except ValueError as exc:
+    assert "already registered" in str(exc)
+else:
+    raise AssertionError("duplicate of an unbuilt name was accepted")
+assert loaded() == (False, False), loaded()
+assert get_workload("sparselu").family == "inncabs"
+assert loaded() == (True, True), loaded()
+"""
+
+
+def test_workload_modules_load_on_first_lookup():
+    """Importing the library and running fib must not pay for scipy."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
