@@ -14,7 +14,7 @@ Run:  python examples/adaptive_throttling.py
 from repro.apex.policy import PolicyEngine
 from repro.apex.throttle import IDLE_RATE_COUNTER, ConcurrencyThrottlePolicy
 from repro.counters.base import CounterEnvironment
-from repro.counters.registry import build_default_registry
+from repro.counters.providers import build_registry
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.clock import us
 from repro.simcore.events import Engine
@@ -52,7 +52,7 @@ def run(adaptive: bool) -> tuple[float, float, list]:
     decisions = []
     if adaptive:
         env = CounterEnvironment(engine=engine, runtime=runtime, machine=machine)
-        registry = build_default_registry(env)
+        registry = build_registry(env)
         policy = ConcurrencyThrottlePolicy(runtime=runtime, upper_idle=3500)
         pe = PolicyEngine(
             engine=engine,

@@ -14,7 +14,7 @@ import operator
 
 from repro.counters.base import CounterEnvironment
 from repro.counters.manager import ActiveCounters
-from repro.counters.registry import build_default_registry
+from repro.counters.providers import build_registry
 from repro.runtime.executors import StaticChunkSize, transform_reduce
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
@@ -48,7 +48,7 @@ def estimate_pi(chunk_size: int, cores: int = 8):
     machine = Machine()
     runtime = HpxRuntime(engine, machine, num_workers=cores)
     env = CounterEnvironment(engine=engine, runtime=runtime, machine=machine)
-    registry = build_default_registry(env)
+    registry = build_registry(env)
     counters = ActiveCounters(
         registry,
         [

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Work/span analysis of an Inncabs benchmark.
 
-Records the full task trace of one run, reconstructs the computation
-DAG (spawn + join edges) and computes work T1, span T-inf and average
-parallelism T1/T-inf — the speedup ceiling no scheduler can beat —
-then compares it against the speedups the runtime actually achieves.
+Profiles one single-core run, which builds the computation DAG (spawn +
+join edges) as the run executes and reports work T1, span T-inf and
+average parallelism T1/T-inf — the speedup ceiling no scheduler can
+beat — then compares it against the speedups the runtime actually
+achieves.
 
 Run:  python examples/work_span_analysis.py [benchmark]
 """
@@ -13,28 +14,19 @@ import sys
 
 from repro.api import Session, WorkloadSpec
 from repro.inncabs.presets import preset_params
-from repro.inncabs.suite import available_benchmarks, get_benchmark
-from repro.runtime.scheduler import HpxRuntime
-from repro.simcore.events import Engine
-from repro.simcore.machine import Machine
-from repro.trace import TraceRecorder, work_span
+from repro.inncabs.suite import available_benchmarks
 
 
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "sort"
     if name not in available_benchmarks():
         raise SystemExit(f"unknown benchmark {name}")
-    bench = get_benchmark(name)
-    params = bench.params_with_defaults(preset_params(name, "small"))
-    root_fn, root_args = bench.make_root(params)
+    params = preset_params(name, "small")
+    session = Session(runtime="hpx")
 
-    engine = Engine()
-    runtime = HpxRuntime(engine, Machine(), num_workers=1)
-    recorder = TraceRecorder(runtime)
-    with recorder:
-        runtime.run_to_completion(root_fn, *root_args)
-
-    ws = work_span(recorder)
+    ws = session.run(
+        WorkloadSpec(name), cores=1, params=params, collect_counters=False, profile=True
+    ).profile
     print(f"{name} (small preset): task DAG analysis")
     print(f"  tasks                {ws.tasks:10d}")
     print(f"  dependency edges     {ws.edges:10d}")
@@ -43,10 +35,9 @@ def main() -> None:
     print(f"  avg parallelism      {ws.average_parallelism:10.1f}x   (speedup ceiling)")
 
     print("\nmeasured strong scaling vs the ceiling:")
-    session = Session(runtime="hpx")
     base = None
     for cores in (1, 2, 4, 8, 16):
-        result = session.run(WorkloadSpec(name), cores=cores, params=dict(params))
+        result = session.run(WorkloadSpec(name), cores=cores, params=params)
         if base is None:
             base = result.exec_time_ns
         speedup = base / result.exec_time_ns

@@ -32,7 +32,7 @@ from repro.counters.providers import build_registry
 from repro.exec.cohort import CohortEngine
 from repro.exec.errors import DeadlockError
 from repro.exec.modes import CohortIneligibleError, ExecutionMode, resolve_mode
-from repro.experiments.config import DEFAULT_COUNTERS, ExperimentConfig
+from repro.experiments.config import DEFAULT_COUNTERS, RUNTIMES, ExperimentConfig
 from repro.experiments.runner import RunResult
 from repro.inncabs.base import effective_locality_factor
 from repro.kernel.config import StdParams
@@ -50,15 +50,11 @@ from repro.profiler.whatif import (
 from repro.runtime.config import HpxParams
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
-from repro.simcore.machine import Machine, MachineSpec
+from repro.simcore.machine import Machine
 from repro.telemetry.pipeline import DEFAULT_BUFFER_LIMIT, TelemetryConfig, TelemetryPipeline
 from repro.workloads import WorkloadSpec, as_workload_spec, get_workload
 
 __all__ = ["ProfileConfig", "Session", "RunResult", "TelemetryConfig", "WorkloadSpec"]
-
-#: Accepted runtime names.  ``"kernel"`` is an alias for the
-#: ``std::async`` thread-per-task model (it runs on kernel threads).
-_RUNTIME_ALIASES = {"hpx": "hpx", "std": "std", "kernel": "std"}
 
 
 class Session:
@@ -68,18 +64,14 @@ class Session:
     ----------
     runtime:
         ``"hpx"`` for the HPX-style user-level task runtime, ``"std"``
-        (alias ``"kernel"``) for the ``std::async`` kernel-thread model.
+        for the ``std::async`` kernel-thread model.
     cores:
         Default worker/core count for :meth:`run` (overridable per run).
     platform:
         The simulated node: a preset name (``"epyc-2x64"``), a path to
-        a platform file (``.toml``/``.json``), a
-        :class:`~repro.platform.spec.PlatformSpec`, or a legacy
-        :class:`MachineSpec`.  Defaults to the paper's Table III node
-        (``"ivybridge-2x10"``).
-    machine:
-        Legacy alias for ``platform`` (a :class:`MachineSpec`); they
-        are mutually exclusive.
+        a platform file (``.toml``/``.json``) or a
+        :class:`~repro.platform.spec.PlatformSpec`.  Defaults to the
+        paper's Table III node (``"ivybridge-2x10"``).
     hpx_params / std_params:
         Runtime cost models; default to the calibrated paper values.
     config:
@@ -102,30 +94,24 @@ class Session:
         *,
         runtime: str = "hpx",
         cores: int = 1,
-        platform: PlatformSpec | MachineSpec | str | None = None,
-        machine: MachineSpec | None = None,
+        platform: PlatformSpec | str | None = None,
         hpx_params: HpxParams | None = None,
         std_params: StdParams | None = None,
         config: ExperimentConfig | None = None,
         engine_factory: Callable[[], Any] | None = None,
         telemetry: TelemetryConfig | None = None,
     ) -> None:
-        canonical = _RUNTIME_ALIASES.get(runtime)
-        if canonical is None:
-            expected = ", ".join(sorted(_RUNTIME_ALIASES))
+        if runtime not in RUNTIMES:
+            expected = ", ".join(RUNTIMES)
             raise ValueError(f"unknown runtime {runtime!r}; expected one of {expected}")
         if cores < 1:
             raise ValueError(f"cores must be >= 1, got {cores}")
-        if platform is not None and machine is not None:
-            raise ValueError("pass either platform= or machine=, not both")
-        self.runtime = canonical
+        self.runtime = runtime
         self.cores = cores
         base = config or ExperimentConfig()
         overrides: dict[str, Any] = {}
         if platform is not None:
             overrides["platform"] = resolve_platform(platform)
-        elif machine is not None:
-            overrides["platform"] = machine.to_platform()
         if hpx_params is not None:
             overrides["hpx"] = hpx_params
         if std_params is not None:

@@ -5,8 +5,6 @@ applications provide command line options related to performance
 counters, such as the ability to list available counter types, or
 periodically query specific counters"):
 
-- ``repro list-benchmarks`` — the Inncabs suite;
-- ``repro list-counters [--pattern ...]`` — counter-type discovery;
 - ``repro counters list|query`` — the telemetry front door: list the
   counter types, or run a benchmark and stream every sample (wildcards
   expanded) as CSV or JSON lines;
@@ -61,7 +59,7 @@ from repro.experiments.report import (
     render_table1,
     render_table5,
 )
-from repro.inncabs.suite import available_benchmarks, get_benchmark
+from repro.inncabs.suite import available_benchmarks
 from repro.papi.hw import PapiSubstrate
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
@@ -151,14 +149,7 @@ def _resolve_cli_workload(args: argparse.Namespace) -> "Any":
     return WorkloadSpec(workload.name, params)
 
 
-def cmd_list_benchmarks(_args: argparse.Namespace) -> int:
-    for name in available_benchmarks():
-        info = get_benchmark(name).info
-        print(f"{name:11s} {info.structure:21s} {info.paper_granularity:18s} {info.description}")
-    return 0
-
-
-def cmd_list_counters(args: argparse.Namespace) -> int:
+def cmd_counters_list(args: argparse.Namespace) -> int:
     import fnmatch
 
     from repro.counters.providers import build_registry
@@ -705,48 +696,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("list-benchmarks", help="list the Inncabs suite")
-    p.set_defaults(fn=cmd_list_benchmarks)
-
-    def add_list_counters_options(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--pattern", default=None, help="glob over type names")
-        parser.add_argument(
-            "--cores",
-            type=int,
-            default=None,
-            help="worker count the instance lists reflect "
-            "(default: 4, or the named --platform's full core count)",
-        )
-        parser.add_argument("--verbose", action="store_true", help="show help text and instances")
-        parser.add_argument(
-            "--workload",
-            default=None,
-            metavar="NAME[:key=val,...]",
-            help="also list the counter types this workload's own providers add",
-        )
-        parser.add_argument(
-            "--platform",
-            default=None,
-            metavar="NAME|FILE",
-            help="simulated node: preset name or platform file (default: ivybridge-2x10)",
-        )
-        parser.add_argument(
-            "--providers",
-            action="append",
-            default=None,
-            metavar="GLOB",
-            help="only show counter types from matching providers "
-            "(repeatable; e.g. --providers 'builtin.*' --providers fmm)",
-        )
-        parser.set_defaults(fn=cmd_list_counters)
-
-    p = sub.add_parser("list-counters", help="list available counter types")
-    add_list_counters_options(p)
-
     p = sub.add_parser("counters", help="telemetry front door: list counter types, stream samples")
     counters_sub = p.add_subparsers(dest="counters_command", required=True)
     pc = counters_sub.add_parser("list", help="list available counter types")
-    add_list_counters_options(pc)
+    pc.add_argument("--pattern", default=None, help="glob over type names")
+    pc.add_argument(
+        "--cores",
+        type=int,
+        default=None,
+        help="worker count the instance lists reflect "
+        "(default: 4, or the named --platform's full core count)",
+    )
+    pc.add_argument("--verbose", action="store_true", help="show help text and instances")
+    pc.add_argument(
+        "--workload",
+        default=None,
+        metavar="NAME[:key=val,...]",
+        help="also list the counter types this workload's own providers add",
+    )
+    pc.add_argument(
+        "--platform",
+        default=None,
+        metavar="NAME|FILE",
+        help="simulated node: preset name or platform file (default: ivybridge-2x10)",
+    )
+    pc.add_argument(
+        "--providers",
+        action="append",
+        default=None,
+        metavar="GLOB",
+        help="only show counter types from matching providers "
+        "(repeatable; e.g. --providers 'builtin.*' --providers fmm)",
+    )
+    pc.set_defaults(fn=cmd_counters_list)
     pc = counters_sub.add_parser(
         "query", help="run a benchmark and stream every counter sample (CSV or JSON lines)"
     )

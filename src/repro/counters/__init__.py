@@ -38,7 +38,7 @@ from repro.counters.providers import (
     provider_identity,
 )
 from repro.counters.query import PeriodicQuery
-from repro.counters.registry import CounterRegistry, CounterTypeEntry, build_default_registry
+from repro.counters.registry import CounterRegistry, CounterTypeEntry
 from repro.counters.types import CounterStatus, CounterType, CounterValue
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "PerformanceCounter",
     "PeriodicQuery",
     "ProviderError",
-    "build_default_registry",
     "build_registry",
     "builtin_providers",
     "entry_point_providers",

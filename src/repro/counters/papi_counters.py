@@ -16,34 +16,33 @@ from repro.counters.base import (
     PerformanceCounter,
 )
 from repro.counters.names import CounterName
-from repro.counters.registry import CounterRegistry, CounterTypeEntry
+from repro.counters.registry import CounterTypeEntry
 from repro.counters.types import CounterType
 from repro.papi.events import PAPI_EVENTS, PapiEvent
 
 PAPI_INSTRUMENT_NS = 30  # per event set, per task activation
 
 
-def register_papi_counters(registry: CounterRegistry) -> None:
-    """Register one ``/papi/<EVENT>`` type per hardware event the
-    platform's counter model exposes (all known events when no PAPI
-    substrate is in the environment)."""
-    papi = registry.env.papi
+def counter_types(env: CounterEnvironment) -> list[CounterTypeEntry]:
+    """One ``/papi/<EVENT>`` type per hardware event the platform's
+    counter model exposes (all known events when no PAPI substrate is
+    in the environment)."""
+    papi = env.papi
     available = None if papi is None else getattr(papi, "events", None)
-    for event in PAPI_EVENTS:
-        if available is not None and event.name not in available:
-            continue
-        registry.register(
-            CounterTypeEntry(
-                info=CounterInfo(
-                    type_name=f"/papi/{event.name}",
-                    counter_type=CounterType.MONOTONICALLY_INCREASING,
-                    help_text=event.description,
-                    unit="events",
-                    instrument_ns_per_task=PAPI_INSTRUMENT_NS,
-                ),
-                factory=_make_factory(event),
-            )
+    return [
+        CounterTypeEntry(
+            info=CounterInfo(
+                type_name=f"/papi/{event.name}",
+                counter_type=CounterType.MONOTONICALLY_INCREASING,
+                help_text=event.description,
+                unit="events",
+                instrument_ns_per_task=PAPI_INSTRUMENT_NS,
+            ),
+            factory=_make_factory(event),
         )
+        for event in PAPI_EVENTS
+        if available is None or event.name in available
+    ]
 
 
 def _make_factory(event: PapiEvent):

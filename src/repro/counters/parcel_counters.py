@@ -17,93 +17,12 @@ from repro.counters.base import (
     PerformanceCounter,
 )
 from repro.counters.names import CounterName
-from repro.counters.registry import CounterRegistry, CounterTypeEntry
+from repro.counters.registry import CounterTypeEntry
 from repro.counters.types import CounterType
 
 
 def _total_only(env: CounterEnvironment) -> list[tuple[str, int | None]]:
     return [("total", None)]
-
-
-def register_distributed_counters(registry: CounterRegistry, locality: Any, system: Any) -> None:
-    """Register /parcels and /agas counter types for one locality."""
-    stats = locality.parcelport.stats
-    agas_stats = system.agas.stats
-
-    def mono(type_name: str, help_text: str, source, unit: str = "") -> None:
-        def factory(
-            name: CounterName, info: CounterInfo, env: CounterEnvironment
-        ) -> PerformanceCounter:
-            return MonotonicCounter(name, info, env, source)
-
-        registry.register(
-            CounterTypeEntry(
-                info=CounterInfo(
-                    type_name=type_name,
-                    counter_type=CounterType.MONOTONICALLY_INCREASING,
-                    help_text=help_text,
-                    unit=unit,
-                ),
-                factory=factory,
-                instances=_total_only,
-            )
-        )
-
-    mono("/parcels/count/sent", "Parcels sent by this locality", lambda: stats.sent)
-    mono(
-        "/parcels/count/received",
-        "Parcels received by this locality",
-        lambda: stats.received,
-    )
-    mono(
-        "/parcels/data/sent",
-        "Bytes sent by this locality's parcelport",
-        lambda: stats.bytes_sent,
-        unit="bytes",
-    )
-    mono(
-        "/parcels/data/received",
-        "Bytes received by this locality's parcelport",
-        lambda: stats.bytes_received,
-        unit="bytes",
-    )
-
-    def latency_factory(
-        name: CounterName, info: CounterInfo, env: CounterEnvironment
-    ) -> PerformanceCounter:
-        return AverageRatioCounter(
-            name, info, env, lambda: stats.latency_sum_ns, lambda: stats.received
-        )
-
-    registry.register(
-        CounterTypeEntry(
-            info=CounterInfo(
-                type_name="/parcels/time/average-latency",
-                counter_type=CounterType.AVERAGE_TIMER,
-                help_text="Average transit time of received parcels",
-                unit="ns",
-            ),
-            factory=latency_factory,
-            instances=_total_only,
-        )
-    )
-
-    mono("/agas/count/bind", "Symbolic names bound in AGAS", lambda: agas_stats.binds)
-    mono(
-        "/agas/count/resolve",
-        "Symbolic-name resolutions served by AGAS",
-        lambda: agas_stats.resolves,
-    )
-    mono(
-        "/agas/count/cache/hits",
-        "AGAS cache hits across localities",
-        lambda: agas_stats.cache_hits,
-    )
-    mono(
-        "/agas/count/cache/misses",
-        "AGAS cache misses across localities",
-        lambda: agas_stats.cache_misses,
-    )
 
 
 class DistributedCounterProvider:
@@ -112,7 +31,7 @@ class DistributedCounterProvider:
     Unlike the stateless built-ins, this provider closes over one
     locality and its owning system, so each locality's registry
     installs its own instance (``registry.install(...)`` in
-    :class:`repro.distributed.system.Locality`).
+    :class:`repro.distributed.system.DistributedSystem`).
     """
 
     name = "builtin.distributed"
@@ -122,9 +41,83 @@ class DistributedCounterProvider:
         self._system = system
 
     def counter_types(self, env: CounterEnvironment) -> list[CounterTypeEntry]:
-        """Replay the legacy registration through an entry collector."""
-        from repro.counters.providers import _EntryCollector
+        """The /parcels and /agas counter types of this locality."""
+        stats = self._locality.parcelport.stats
+        agas_stats = self._system.agas.stats
+        entries: list[CounterTypeEntry] = []
 
-        collector = _EntryCollector(env)
-        register_distributed_counters(collector, self._locality, self._system)  # type: ignore[arg-type]
-        return collector.entries
+        def mono(type_name: str, help_text: str, source, unit: str = "") -> None:
+            def factory(
+                name: CounterName, info: CounterInfo, env: CounterEnvironment
+            ) -> PerformanceCounter:
+                return MonotonicCounter(name, info, env, source)
+
+            entries.append(
+                CounterTypeEntry(
+                    info=CounterInfo(
+                        type_name=type_name,
+                        counter_type=CounterType.MONOTONICALLY_INCREASING,
+                        help_text=help_text,
+                        unit=unit,
+                    ),
+                    factory=factory,
+                    instances=_total_only,
+                )
+            )
+
+        mono("/parcels/count/sent", "Parcels sent by this locality", lambda: stats.sent)
+        mono(
+            "/parcels/count/received",
+            "Parcels received by this locality",
+            lambda: stats.received,
+        )
+        mono(
+            "/parcels/data/sent",
+            "Bytes sent by this locality's parcelport",
+            lambda: stats.bytes_sent,
+            unit="bytes",
+        )
+        mono(
+            "/parcels/data/received",
+            "Bytes received by this locality's parcelport",
+            lambda: stats.bytes_received,
+            unit="bytes",
+        )
+
+        def latency_factory(
+            name: CounterName, info: CounterInfo, env: CounterEnvironment
+        ) -> PerformanceCounter:
+            return AverageRatioCounter(
+                name, info, env, lambda: stats.latency_sum_ns, lambda: stats.received
+            )
+
+        entries.append(
+            CounterTypeEntry(
+                info=CounterInfo(
+                    type_name="/parcels/time/average-latency",
+                    counter_type=CounterType.AVERAGE_TIMER,
+                    help_text="Average transit time of received parcels",
+                    unit="ns",
+                ),
+                factory=latency_factory,
+                instances=_total_only,
+            )
+        )
+
+        mono("/agas/count/bind", "Symbolic names bound in AGAS", lambda: agas_stats.binds)
+        mono(
+            "/agas/count/resolve",
+            "Symbolic-name resolutions served by AGAS",
+            lambda: agas_stats.resolves,
+        )
+        mono(
+            "/agas/count/cache/hits",
+            "AGAS cache hits across localities",
+            lambda: agas_stats.cache_hits,
+        )
+        mono(
+            "/agas/count/cache/misses",
+            "AGAS cache misses across localities",
+            lambda: agas_stats.cache_misses,
+        )
+        return entries

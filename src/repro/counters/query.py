@@ -24,11 +24,6 @@ from repro.counters.manager import ActiveCounters
 from repro.counters.types import CounterValue
 from repro.platform.spec import DEFAULT_COUNTER_QUERY_COST_NS
 
-#: Per-counter in-band query cost on the reference (Table III) node.
-#: Kept for backwards compatibility; the live value comes from the
-#: platform spec of the runtime being queried.
-QUERY_COST_PER_COUNTER_NS = DEFAULT_COUNTER_QUERY_COST_NS
-
 Sink = Callable[[list[CounterValue]], None]
 
 

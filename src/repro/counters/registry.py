@@ -209,16 +209,3 @@ class CounterRegistry:
         )
         return StatisticsCounter(name, info, self.env, underlying, name.counter_name, window)
 
-
-def build_default_registry(env: CounterEnvironment) -> CounterRegistry:
-    """Registry with every built-in counter type wired to *env*.
-
-    Legacy spelling of :func:`repro.counters.providers.build_registry`
-    without a workload: the built-in provider chain (gated on the
-    environment exactly as before) plus any third-party providers
-    installed through the ``repro.counter_providers`` entry-point group.
-    """
-    # Imported here to avoid a cycle (providers imports registry types).
-    from repro.counters.providers import build_registry
-
-    return build_registry(env)

@@ -10,7 +10,7 @@ from repro.counters.base import (
     RawCounter,
 )
 from repro.counters.names import CounterName
-from repro.counters.registry import CounterRegistry, CounterTypeEntry
+from repro.counters.registry import CounterTypeEntry
 from repro.counters.types import CounterType
 
 
@@ -18,15 +18,17 @@ def _total_only(env: CounterEnvironment) -> list[tuple[str, int | None]]:
     return [("total", None)]
 
 
-def register_runtime_counters(registry: CounterRegistry) -> None:
-    """Register ``/runtime/uptime`` and ``/runtime/count/tasks-live``."""
+def counter_types(env: CounterEnvironment) -> list[CounterTypeEntry]:
+    """``/runtime/uptime``, ``/runtime/count/tasks-live`` and the
+    instantaneous scheduler utilization."""
+    entries: list[CounterTypeEntry] = []
 
     def uptime_factory(
         name: CounterName, info: CounterInfo, env: CounterEnvironment
     ) -> PerformanceCounter:
         return ElapsedTimeCounter(name, info, env)
 
-    registry.register(
+    entries.append(
         CounterTypeEntry(
             info=CounterInfo(
                 type_name="/runtime/uptime",
@@ -45,7 +47,7 @@ def register_runtime_counters(registry: CounterRegistry) -> None:
         runtime = env.require("runtime")
         return RawCounter(name, info, env, lambda: runtime.stats.live_tasks)
 
-    registry.register(
+    entries.append(
         CounterTypeEntry(
             info=CounterInfo(
                 type_name="/runtime/count/tasks-live",
@@ -68,7 +70,7 @@ def register_runtime_counters(registry: CounterRegistry) -> None:
 
         return RawCounter(name, info, env, read)
 
-    registry.register(
+    entries.append(
         CounterTypeEntry(
             info=CounterInfo(
                 type_name="/scheduler/utilization/instantaneous",
@@ -80,3 +82,4 @@ def register_runtime_counters(registry: CounterRegistry) -> None:
             instances=_total_only,
         )
     )
+    return entries

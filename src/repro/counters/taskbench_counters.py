@@ -20,12 +20,12 @@ from functools import partial
 
 from repro.counters.base import CounterEnvironment, CounterInfo, PerformanceCounter
 from repro.counters.names import CounterName
-from repro.counters.registry import CounterRegistry, CounterTypeEntry
+from repro.counters.registry import CounterTypeEntry
 from repro.counters.types import CounterType
 
 from repro.counters.threads_counters import IDLE_INSTRUMENT_NS
 
-__all__ = ["EfficiencyCounter", "register_taskbench_counters"]
+__all__ = ["EfficiencyCounter", "counter_types"]
 
 
 class EfficiencyCounter(PerformanceCounter):
@@ -60,8 +60,8 @@ class EfficiencyCounter(PerformanceCounter):
         self._wall_base = self.env.engine.now
 
 
-def register_taskbench_counters(registry: CounterRegistry) -> None:
-    """Register the ``/taskbench/...`` counter types."""
+def counter_types(env: CounterEnvironment) -> list[CounterTypeEntry]:
+    """The ``/taskbench/...`` counter types."""
 
     def efficiency_factory(
         name: CounterName, info: CounterInfo, env: CounterEnvironment
@@ -76,7 +76,7 @@ def register_taskbench_counters(registry: CounterRegistry) -> None:
             raise ValueError(f"bad worker-thread index in {name}")
         return EfficiencyCounter(name, info, env, partial(probes.busy_ns, index), 1)
 
-    registry.register(
+    return [
         CounterTypeEntry(
             info=CounterInfo(
                 type_name="/taskbench/efficiency",
@@ -88,4 +88,4 @@ def register_taskbench_counters(registry: CounterRegistry) -> None:
             ),
             factory=efficiency_factory,
         )
-    )
+    ]

@@ -15,7 +15,7 @@ quantifies:
   active (timestamping / PAPI reads in the scheduler hot path);
 - ``trace`` — the task life-cycle hook (``create`` / ``activate`` /
   ``suspend`` / ``resume`` / ``terminate`` / ``depend``) behind
-  :mod:`repro.trace`.
+  :mod:`repro.profiler`.
 
 Both are a single attribute load on the dispatch path when inactive.
 """
@@ -61,51 +61,13 @@ class SchedulerProbe:
 
 @dataclass(slots=True)
 class KernelProbe(SchedulerProbe):
-    """Kernel-model totals: the shared probe plus OS-level extras.
-
-    The legacy ``threads_*`` spellings remain readable/writable
-    properties so existing callers keep working.
-    """
+    """Kernel-model totals: the shared probe plus OS-level extras."""
 
     committed_bytes: int = 0
     dispatches: int = 0
     preemptions: int = 0
     blocks: int = 0
     wakes: int = 0
-
-    # -- legacy aliases (the kernel model used to call tasks "threads") --
-
-    @property
-    def threads_created(self) -> int:
-        return self.tasks_created
-
-    @threads_created.setter
-    def threads_created(self, value: int) -> None:
-        self.tasks_created = value
-
-    @property
-    def threads_completed(self) -> int:
-        return self.tasks_executed
-
-    @threads_completed.setter
-    def threads_completed(self, value: int) -> None:
-        self.tasks_executed = value
-
-    @property
-    def live_threads(self) -> int:
-        return self.live_tasks
-
-    @live_threads.setter
-    def live_threads(self, value: int) -> None:
-        self.live_tasks = value
-
-    @property
-    def peak_live_threads(self) -> int:
-        return self.peak_live_tasks
-
-    @peak_live_threads.setter
-    def peak_live_threads(self, value: int) -> None:
-        self.peak_live_tasks = value
 
 
 class ProbeBus:

@@ -24,7 +24,10 @@ from repro.kernel.config import StdParams
 from repro.platform.presets import default_platform
 from repro.platform.spec import PlatformSpec
 from repro.runtime.config import HpxParams
-from repro.simcore.machine import MachineSpec
+
+#: Runtime names accepted by sessions, campaigns and the server: the
+#: HPX task runtime and the ``std::async`` kernel-thread model.
+RUNTIMES = ("hpx", "std")
 
 #: Live threads at which the scaled std::async model aborts.
 SCALED_THREAD_LIMIT = 3_000
@@ -59,11 +62,6 @@ PAPI_COUNTERS = (
 DEFAULT_COUNTERS = SOFTWARE_COUNTERS + PAPI_COUNTERS
 
 
-def default_machine_spec() -> MachineSpec:
-    """The Table III node, in the legacy even-shape spelling."""
-    return MachineSpec()
-
-
 def default_hpx_params() -> HpxParams:
     return HpxParams()
 
@@ -86,13 +84,3 @@ class ExperimentConfig:
     samples: int = DEFAULT_SAMPLES
     core_counts: tuple[int, ...] = QUICK_CORE_COUNTS
     seed: int = 20160523
-
-    def __post_init__(self) -> None:
-        # Accept the legacy even-shape spelling transparently.
-        if isinstance(self.platform, MachineSpec):
-            object.__setattr__(self, "platform", self.platform.to_platform())
-
-    @property
-    def machine(self) -> PlatformSpec:
-        """Legacy alias for :attr:`platform`."""
-        return self.platform

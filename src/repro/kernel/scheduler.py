@@ -34,10 +34,7 @@ from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
 from repro.simcore.topology import BindMode, Topology
 
-# Legacy spelling: the kernel stats struct is the shared probe type now.
-StdStats = KernelProbe
-
-__all__ = ["KMutex", "ResourceExhausted", "StdRuntime", "StdStats"]
+__all__ = ["KMutex", "ResourceExhausted", "StdRuntime"]
 
 
 class KMutex:

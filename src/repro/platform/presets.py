@@ -15,8 +15,7 @@ sweepable out of the box:
   slow cores) exercising uneven topologies end to end.
 
 ``resolve_platform`` is the front door: it accepts a preset name, a
-path to a TOML/JSON platform file, an already-built ``PlatformSpec``,
-or a legacy ``MachineSpec``-shaped object exposing ``to_platform()``.
+path to a TOML/JSON platform file, or an already-built ``PlatformSpec``.
 """
 
 from __future__ import annotations
@@ -151,19 +150,12 @@ def resolve_platform(platform: Any | None) -> PlatformSpec:
     """Normalize any accepted platform designator to a ``PlatformSpec``.
 
     Accepts ``None`` (the default platform), a ``PlatformSpec``, a
-    legacy spec object exposing ``to_platform()`` (``MachineSpec``), a
     preset name, or a path to a ``.toml``/``.json`` platform file.
     """
     if platform is None:
         return default_platform()
     if isinstance(platform, PlatformSpec):
         return platform
-    to_platform = getattr(platform, "to_platform", None)
-    if callable(to_platform):
-        spec = to_platform()
-        if not isinstance(spec, PlatformSpec):
-            raise PlatformError(f"{platform!r}.to_platform() did not return a PlatformSpec")
-        return spec
     if isinstance(platform, str):
         if platform in _PRESETS:
             return get_platform(platform)

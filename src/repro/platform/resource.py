@@ -1,8 +1,7 @@
 """The unified resource model: every contention/latency formula.
 
-Historically the node's math was split between ``simcore.machine``
-(L3 pressure, counter booking) and ``simcore.memory`` (bandwidth
-arbitration).  :class:`ResourceModel` owns all of it now, parameterized
+:class:`ResourceModel` owns the node's math — L3 pressure, counter
+booking and memory-controller bandwidth arbitration — parameterized
 by a :class:`~repro.platform.spec.PlatformSpec`, so a single class
 answers "how long does this segment take and what does it do to the
 hardware counters" for any socket shape.

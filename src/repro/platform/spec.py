@@ -8,14 +8,13 @@ model exposes.  Specs are frozen, hashable, and round-trip losslessly
 through JSON and TOML, which is what lets campaign cache keys be
 content-addressed over them.
 
-Unlike the legacy single-shape ``MachineSpec`` (two identical sockets),
-sockets here are described individually, so uneven shapes — a 1-socket
+Sockets are described individually, so uneven shapes — a 1-socket
 desktop, an asymmetric big.LITTLE-style pair — are first-class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Mapping, Sequence
 

@@ -1,10 +1,9 @@
 """Causal profiling on the ProbeBus (the TASKPROF direction).
 
 The paper's counters answer *how efficiently did the run execute*; this
-package answers *where the parallelism went*.  It upgrades the passive
-:mod:`repro.trace` recorder into a streaming profiling subsystem in the
-style of Yoga & Nagarakatte's TASKPROF ("A Fast Causal Profiler for
-Task Parallel Programs"):
+package answers *where the parallelism went*.  It is a streaming
+profiling subsystem in the style of Yoga & Nagarakatte's TASKPROF
+("A Fast Causal Profiler for Task Parallel Programs"):
 
 - :class:`ProfileBuilder` subscribes to the ProbeBus trace hook and
   incrementally maintains the task DAG, per-body busy aggregates and a
@@ -22,9 +21,11 @@ Task Parallel Programs"):
   them for free;
 - :class:`RunProfile` is the post-run report attached to
   :attr:`repro.experiments.runner.RunResult.profile` and rendered by
-  ``repro profile``.
-
-The old :mod:`repro.trace` modules remain as thin re-export shims.
+  ``repro profile``;
+- :class:`TraceRecorder` and :func:`build_profile` are the post-mortem
+  half: record every task event, aggregate a gprof-style flat profile
+  after the run (:mod:`repro.trace` exports the stream as a Chrome
+  trace).
 """
 
 from repro.profiler.analysis import CriticalStep, DagAnalysis, ParallelismPoint

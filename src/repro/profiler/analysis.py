@@ -1,8 +1,7 @@
 """Work/span, critical-path and parallelism analysis of the task DAG.
 
-Pure-stdlib reimplementation of the classic fork/join analysis the
-legacy :mod:`repro.trace.dag` module performs with networkx (which is a
-test-only dependency): each task contributes an ``s`` (spawn-phase)
+Pure-stdlib implementation of the classic fork/join analysis (the
+test suite cross-checks it against a networkx oracle): each task contributes an ``s`` (spawn-phase)
 node carrying its busy time and a zero-weight ``e`` (join-phase) node,
 spawn edges run parent-s → child-s, join edges producer-e → waiter-e.
 On that DAG:

@@ -7,7 +7,7 @@ the run executes — everything the analysis layer needs:
 
 - the task DAG structure (spawn edges from ``create`` events, join
   edges from ``depend`` events), mirroring the node/edge universe of
-  the legacy networkx extraction exactly;
+  the networkx oracle in the test suite exactly;
 - per-task and per-body busy aggregates through the shared
   busy-interval accumulator (one aggregation path with the flat
   profile);

@@ -1,4 +1,4 @@
-"""The task-event model shared by the profiler and the legacy trace.
+"""The task-event model shared by the profiler and the post-mortem recorder.
 
 One :class:`TaskEvent` per task life-cycle transition, delivered by the
 ProbeBus trace hook.  Recording has a cost — each event charges

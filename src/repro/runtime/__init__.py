@@ -17,7 +17,7 @@ from repro.runtime.config import HpxParams
 from repro.runtime.executors import AutoChunkSize, StaticChunkSize, for_each, transform_reduce
 from repro.runtime.lcos import Barrier, Event, Latch, dataflow, then
 from repro.runtime.policies import LaunchPolicy
-from repro.runtime.scheduler import DeadlockError, HpxRuntime, ThreadManagerStats, WorkerStats
+from repro.runtime.scheduler import DeadlockError, HpxRuntime
 from repro.runtime.sync import Mutex
 from repro.runtime.task import Task, TaskState
 
@@ -34,8 +34,6 @@ __all__ = [
     "StaticChunkSize",
     "Task",
     "TaskState",
-    "ThreadManagerStats",
-    "WorkerStats",
     "dataflow",
     "for_each",
     "then",

@@ -33,12 +33,7 @@ from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
 from repro.simcore.topology import BindMode, Topology
 
-# Legacy spellings: the accounting structs are the shared probe types
-# now (see repro.exec.probes); DeadlockError moved to repro.exec.errors.
-WorkerStats = WorkerProbe
-ThreadManagerStats = SchedulerProbe
-
-__all__ = ["DeadlockError", "HpxRuntime", "ThreadManagerStats", "WorkerStats"]
+__all__ = ["DeadlockError", "HpxRuntime"]
 
 # Hot-path aliases: `policy is _ASYNC` instead of enum-member loads.
 _ASYNC = LaunchPolicy.ASYNC
@@ -68,7 +63,7 @@ class _Worker:
         self.queue = TaskQueue(index)
         self.state = "idle"  # idle | waking | busy
         self.current: Task | None = None
-        self.stats = WorkerStats()
+        self.stats = WorkerProbe()
         self.victims: list[int] = []
         # APEX-style throttling: disabled workers stop picking up work
         # (their staged tasks remain stealable).

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.campaign.spec import CampaignSpec, Cell, cell_cache_key
+from repro.experiments.config import RUNTIMES
 from repro.platform.presets import resolve_platform
 from repro.platform.spec import PlatformSpec
 from repro.workloads import WorkloadSpec, available_workloads, get_workload
@@ -31,7 +32,6 @@ from repro.workloads import WorkloadSpec, available_workloads, get_workload
 DEFAULT_SEED = 20160523
 
 _PRESETS = ("small", "default", "large", "paper")
-_RUNTIMES = ("hpx", "std")
 
 
 class RunState(str, enum.Enum):
@@ -93,8 +93,8 @@ class RunRequest:
                 raise BadRequest(f"bad mode: {exc}") from exc
         benchmark, params = cls._resolve_workload(obj, params)
         runtime = obj.get("runtime", "hpx")
-        if runtime not in _RUNTIMES:
-            raise BadRequest(f"unknown runtime {runtime!r}; expected one of {_RUNTIMES}")
+        if runtime not in RUNTIMES:
+            raise BadRequest(f"unknown runtime {runtime!r}; expected one of {RUNTIMES}")
         cores = obj.get("cores", 1)
         if not isinstance(cores, int) or isinstance(cores, bool) or cores < 1:
             raise BadRequest(f"cores must be a positive integer, got {cores!r}")

@@ -100,7 +100,7 @@ class ChromeTraceSink:
     """Collects samples and renders them as Chrome-trace counter events.
 
     ``render()`` produces a ``chrome://tracing`` / Perfetto JSON
-    document; pass a :class:`~repro.trace.recorder.TraceRecorder` (or
+    document; pass a :class:`~repro.profiler.events.TraceRecorder` (or
     its events) to overlay the counter timelines on the per-worker task
     timelines of the same run.  With a path destination the document is
     written on ``close``.

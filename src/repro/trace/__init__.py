@@ -1,36 +1,14 @@
-"""Post-mortem tracing and profiling.
+"""Chrome-trace export of recorded task events.
 
 The paper contrasts the HPX counter framework with *post-mortem* tools
 (HPCToolkit, TAU): those collect full event streams and aggregate after
 the run, which is expensive, fragile at high thread counts, and useless
-for runtime adaptation.  This package implements exactly that style of
-measurement *inside* the simulation — a per-task event recorder with a
-gprof-like aggregator and a Chrome-trace exporter — so the two
-approaches can be compared on equal footing (see
-``tests/trace/test_trace.py``: the trace sees the same totals the
-counters report, but only after the run and at a much higher event
-cost).
-
-Most of this package now lives in :mod:`repro.profiler` — the trace
-layer grew into the causal profiling subsystem — and these modules are
-compatibility shims re-exporting the moved names.  Only the networkx
-work/span oracle (:mod:`repro.trace.dag`, cross-checked against the
-stdlib implementation in :mod:`repro.profiler.analysis`) and the
-Chrome-trace exporter remain here in full.
+for runtime adaptation.  The event recorder and the gprof-like
+aggregator that implement that style inside the simulation live in
+:mod:`repro.profiler`; this package holds the exporter that renders a
+recorded stream as a Chrome ``about://tracing`` document.
 """
 
-from repro.profiler.events import TaskEvent, TraceRecorder
-from repro.profiler.report import FunctionProfile, build_profile
-from repro.trace.dag import WorkSpan, build_task_dag, work_span
 from repro.trace.export import to_chrome_trace
 
-__all__ = [
-    "FunctionProfile",
-    "TaskEvent",
-    "TraceRecorder",
-    "WorkSpan",
-    "build_profile",
-    "build_task_dag",
-    "to_chrome_trace",
-    "work_span",
-]
+__all__ = ["to_chrome_trace"]

@@ -77,13 +77,13 @@ def test_throttle_parks_idle_workers(engine, machine):
 
     # The fixture registry is bound to hpx4; build one against rt.
     from repro.counters.base import CounterEnvironment
-    from repro.counters.registry import build_default_registry
+    from repro.counters.providers import build_registry
 
     env = CounterEnvironment(engine=engine, runtime=rt, machine=machine)
     pe = PolicyEngine(
         engine=engine,
         runtime=rt,
-        registry=build_default_registry(env),
+        registry=build_registry(env),
         counter_specs=[IDLE_RATE_COUNTER],
         period_ns=us(100),
         rules=[ConcurrencyThrottlePolicy(runtime=rt, upper_idle=3000).rule()],

@@ -90,7 +90,7 @@ def test_from_config_matches_harness_defaults():
     assert spec.core_counts == (1, 8)
     assert spec.samples == 4
     assert spec.seed == config.seed
-    assert spec.machine == config.machine
+    assert spec.platform == config.platform
     assert spec.std == config.std  # the scaled-budget StdParams
 
 
@@ -111,26 +111,3 @@ def test_cache_key_sensitive_to_platform():
     for name in ("desktop-1x8", "epyc-2x64", "hybrid-4p8e"):
         keys.add(cell_cache_key(make_spec(platform=get_platform(name)), cell))
     assert len(keys) == 4
-
-
-def test_spec_accepts_legacy_machinespec():
-    from repro.simcore.machine import MachineSpec
-
-    spec = make_spec(platform=MachineSpec())
-    assert spec.platform == MachineSpec().to_platform()
-    assert spec.machine == spec.platform  # legacy alias
-
-
-def test_from_json_dict_accepts_legacy_machine_key():
-    """Pre-platform artifacts (e.g. the committed CI baseline) carry a
-    flat MachineSpec dict under "machine"; they must still load."""
-    import dataclasses as _dc
-
-    from repro.simcore.machine import MachineSpec
-
-    data = make_spec().to_json_dict()
-    assert "platform" in data and "machine" not in data
-    del data["platform"]
-    data["machine"] = _dc.asdict(MachineSpec())
-    spec = CampaignSpec.from_json_dict(data)
-    assert spec.platform == MachineSpec().to_platform()

@@ -301,11 +301,11 @@ def test_query_cost_comes_from_platform_spec(registry, engine):
 
 def test_query_cost_defaults_on_reference_node(registry, hpx4, engine):
     """ivybridge-2x10 (the paper's node) keeps the historical constant."""
-    from repro.counters.query import QUERY_COST_PER_COUNTER_NS
+    from repro.platform.spec import DEFAULT_COUNTER_QUERY_COST_NS
 
     ac = ActiveCounters(registry, ["/runtime/uptime"])
     query = PeriodicQuery(ac, engine=engine, runtime=hpx4, interval_ns=us(10))
-    assert query.cost_per_counter_ns == QUERY_COST_PER_COUNTER_NS == 800
+    assert query.cost_per_counter_ns == DEFAULT_COUNTER_QUERY_COST_NS == 800
 
 
 def test_periodic_query_drives_pipeline(registry, hpx4, engine):

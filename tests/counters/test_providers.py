@@ -18,7 +18,6 @@ from repro.counters import (
     CounterProvider,
     CounterTypeEntry,
     ProviderError,
-    build_default_registry,
     build_registry,
     builtin_providers,
     provider_identity,
@@ -72,19 +71,40 @@ def test_builtin_providers_are_counter_providers():
 
 
 def test_provider_registry_matches_legacy_registry(counter_env):
-    """The provider path produces the exact legacy counter-type set."""
-    legacy_names = [
-        e.info.type_name for e in build_default_registry(counter_env).counter_types()
+    """The built-in chain yields the exact counter-type set and family
+    order of the pre-provider registry (golden fixtures depend on it)."""
+    registry = build_registry(counter_env)
+    assert [e.info.type_name for e in registry.counter_types()] == [
+        "/papi/OFFCORE_REQUESTS:ALL_DATA_RD",
+        "/papi/OFFCORE_REQUESTS:DEMAND_CODE_RD",
+        "/papi/OFFCORE_REQUESTS:DEMAND_RFO",
+        "/papi/PAPI_TOT_CYC",
+        "/papi/PAPI_TOT_INS",
+        "/runtime/count/tasks-live",
+        "/runtime/uptime",
+        "/scheduler/utilization/instantaneous",
+        "/taskbench/efficiency",
+        "/threads/count/created",
+        "/threads/count/cumulative",
+        "/threads/count/cumulative-phases",
+        "/threads/count/instantaneous/active",
+        "/threads/count/instantaneous/pending",
+        "/threads/count/instantaneous/suspended",
+        "/threads/count/stolen",
+        "/threads/count/stolen-cross-socket",
+        "/threads/idle-rate",
+        "/threads/time/average",
+        "/threads/time/average-overhead",
+        "/threads/time/cumulative",
+        "/threads/time/cumulative-overhead",
+        "/threads/wait-time/pending",
     ]
-    env2 = CounterEnvironment(
-        engine=counter_env.engine,
-        runtime=counter_env.runtime,
-        machine=counter_env.machine,
-        papi=counter_env.papi,
-    )
-    provider_names = [e.info.type_name for e in build_registry(env2).counter_types()]
-    assert provider_names == legacy_names
-    assert len(provider_names) > 20
+    assert registry.providers() == [
+        "builtin.threads",
+        "builtin.runtime",
+        "builtin.taskbench",
+        "builtin.papi",
+    ]
 
 
 def test_builtin_gating_matches_legacy(engine, machine):

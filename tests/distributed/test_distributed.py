@@ -5,7 +5,6 @@ import pytest
 from repro.distributed import DistributedSystem, NetworkParams
 from repro.distributed.agas import AgasError
 from repro.simcore.events import Engine
-from repro.simcore.machine import MachineSpec
 
 
 @pytest.fixture
@@ -15,7 +14,7 @@ def system():
         engine,
         localities=3,
         cores_per_locality=2,
-        machine_spec=MachineSpec(),
+        platform="ivybridge-2x10",
     )
 
 

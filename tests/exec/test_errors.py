@@ -16,7 +16,7 @@ from repro.kernel.scheduler import StdRuntime
 from repro.model.future import SimFuture
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
-from repro.simcore.machine import Machine, MachineSpec
+from repro.simcore.machine import Machine
 
 from tests.conftest import fib_body
 
@@ -40,7 +40,7 @@ def _stuck_body(ctx):
 
 @pytest.mark.parametrize("cls", [HpxRuntime, StdRuntime])
 def test_deadlock_diagnostics_name_the_stuck_task(cls):
-    rt = cls(Engine(), Machine(MachineSpec()), num_workers=2)
+    rt = cls(Engine(), Machine(), num_workers=2)
     with pytest.raises(DeadlockError) as exc_info:
         rt.run_to_completion(_stuck_body)
     message = str(exc_info.value)
@@ -50,7 +50,7 @@ def test_deadlock_diagnostics_name_the_stuck_task(cls):
 
 def test_resource_exhausted_names_over_budget_threads():
     params = StdParams(ram_budget_bytes=4 * StdParams().thread_commit_bytes)
-    rt = StdRuntime(Engine(), Machine(MachineSpec()), num_workers=2, params=params)
+    rt = StdRuntime(Engine(), Machine(), num_workers=2, params=params)
     with pytest.raises(ResourceExhausted) as exc_info:
         rt.run_to_completion(fib_body, 10)
     message = str(exc_info.value)

@@ -2,8 +2,6 @@
 
 from pathlib import Path
 
-import pytest
-
 from repro.exec.interp import EffectInterpreter
 from repro.kernel.scheduler import StdRuntime
 from repro.model.effects import Compute, Spawn
@@ -11,7 +9,7 @@ from repro.model.future import ThrowValue
 from repro.model.work import Work
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
-from repro.simcore.machine import Machine, MachineSpec
+from repro.simcore.machine import Machine
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -123,9 +121,9 @@ def test_begin_step_gates_everything():
 
 
 def test_both_runtimes_share_the_interpreter():
-    engine, machine = Engine(), Machine(MachineSpec())
+    engine, machine = Engine(), Machine()
     hpx = HpxRuntime(engine, machine, num_workers=2)
-    std = StdRuntime(Engine(), Machine(MachineSpec()), num_workers=2)
+    std = StdRuntime(Engine(), Machine(), num_workers=2)
     assert type(hpx._interp) is type(std._interp) is EffectInterpreter
     assert hpx._step.__func__ is std._step.__func__ is EffectInterpreter.step
 

@@ -16,7 +16,7 @@ from repro import Session, WorkloadSpec
 from repro.kernel.scheduler import StdRuntime
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
-from repro.simcore.machine import Machine, MachineSpec
+from repro.simcore.machine import Machine
 
 #: Cyclic garbage allowed per extra task; before the cycle break it was 5.
 MAX_GARBAGE_PER_TASK = 0.05
@@ -65,7 +65,7 @@ def _parent(ctx):
 
 @pytest.mark.parametrize("runtime_cls", [HpxRuntime, StdRuntime], ids=["hpx", "std"])
 def test_wait_on_retired_producer_still_reports_depend(runtime_cls):
-    rt = runtime_cls(Engine(), Machine(MachineSpec()), num_workers=2)
+    rt = runtime_cls(Engine(), Machine(), num_workers=2)
     events = []
     rt.trace = lambda t, kind, task, aux: events.append((kind, task, aux))
     value, fut = rt.run_to_completion(_parent)

@@ -4,8 +4,7 @@ import pytest
 
 from repro.platform.io import load_platform_file, platform_to_toml, save_platform_file
 from repro.platform.presets import get_platform, platform_names
-from repro.platform.spec import PlatformError
-from repro.simcore.machine import MachineSpec
+from repro.platform.spec import PlatformError, PlatformSpec, SocketSpec
 
 
 @pytest.mark.parametrize("name", platform_names())
@@ -18,25 +17,21 @@ def test_every_preset_roundtrips_through_files(tmp_path, name, suffix):
 
 @pytest.mark.parametrize("suffix", [".toml", ".json"])
 def test_machinespec_roundtrips_through_files(tmp_path, suffix):
-    """Legacy spec -> platform -> file -> platform -> legacy spec, losslessly."""
-    spec = MachineSpec(
+    """A custom even-shape node (no preset) -> file -> node, losslessly."""
+    socket = SocketSpec(
+        cores=6, freq_ghz=3.2, l3_bytes=20 * 1024 * 1024, peak_bw=55e9, per_core_bw=9.5e9
+    )
+    spec = PlatformSpec(
         name="custom-2x6",
-        sockets=2,
-        cores_per_socket=6,
-        freq_ghz=3.2,
-        l3_bytes_per_socket=20 * 1024 * 1024,
-        socket_peak_bw=55e9,
-        per_core_bw=9.5e9,
+        sockets=(socket, socket),
         cross_socket_factor=1.7,
         ram_bytes=128 * 1024**3,
         ipc=1.9,
         l3_pressure_alpha=0.4,
         l3_max_factor=2.2,
     )
-    path = save_platform_file(spec.to_platform(), tmp_path / f"node{suffix}")
-    loaded = load_platform_file(path)
-    assert loaded == spec.to_platform()
-    assert MachineSpec.from_platform(loaded) == spec
+    path = save_platform_file(spec, tmp_path / f"node{suffix}")
+    assert load_platform_file(path) == spec
 
 
 def test_toml_text_is_humane():

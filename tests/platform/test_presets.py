@@ -12,7 +12,7 @@ from repro.platform import (
     save_platform_file,
 )
 from repro.platform.spec import PlatformError, PlatformSpec
-from repro.simcore.machine import Machine, MachineSpec
+from repro.simcore.machine import Machine
 
 
 def test_registry_contents():
@@ -27,9 +27,22 @@ def test_registry_contents():
 
 
 def test_default_preset_is_the_legacy_machinespec():
-    """The paper's node: the preset and the legacy default must agree
-    exactly, or every golden fixture in the repo would shift."""
-    assert default_platform() == MachineSpec().to_platform()
+    """The paper's node (Table III), pinned field by field to the values
+    the golden fixtures were recorded on: any drift shifts them all."""
+    spec = default_platform()
+    assert spec.name == "ivybridge-2x10"
+    assert spec.num_sockets == 2
+    for socket in spec.sockets:
+        assert socket.cores == 10
+        assert socket.freq_ghz == 2.5
+        assert socket.l3_bytes == 25 * 1024 * 1024
+        assert socket.peak_bw == 42e9
+        assert socket.per_core_bw == 7.5e9
+    assert spec.cross_socket_factor == 1.6
+    assert spec.ram_bytes == 62 * 1024**3
+    assert spec.ipc == 1.6
+    assert spec.l3_pressure_alpha == 0.35
+    assert spec.l3_max_factor == 2.5
 
 
 def test_resolve_platform_accepts_every_designator(tmp_path):
@@ -37,7 +50,6 @@ def test_resolve_platform_accepts_every_designator(tmp_path):
     spec = get_platform("desktop-1x8")
     assert resolve_platform(spec) is spec
     assert resolve_platform("desktop-1x8") == spec
-    assert resolve_platform(MachineSpec()) == default_platform()
     path = save_platform_file(spec, tmp_path / "node.toml")
     assert resolve_platform(str(path)) == spec
     with pytest.raises(PlatformError, match="unknown platform"):
@@ -49,7 +61,6 @@ def test_resolve_platform_accepts_every_designator(tmp_path):
 def test_machine_accepts_platform_designators():
     machine = Machine("hybrid-4p8e")
     assert machine.platform.name == "hybrid-4p8e"
-    assert machine.spec is machine.platform  # legacy spelling
     assert len(machine.cores) == 12
     assert [c.socket for c in machine.cores] == [0] * 4 + [1] * 8
 
@@ -59,10 +70,10 @@ def run_fib(**session_kwargs):
 
 
 def test_default_platform_reproduces_legacy_numbers():
-    """platform=None, the preset by name, and the legacy MachineSpec
+    """platform=None, the preset by name and the preset's spec object
     must be bit-identical — the refactor moved the math, not changed it."""
     base = run_fib()
-    for kwargs in ({"platform": "ivybridge-2x10"}, {"machine": MachineSpec()}):
+    for kwargs in ({"platform": "ivybridge-2x10"}, {"platform": default_platform()}):
         other = run_fib(**kwargs)
         assert other.exec_time_ns == base.exec_time_ns
         assert other.counters == base.counters
@@ -77,11 +88,6 @@ def test_platforms_actually_differ():
         assert result.verified
         results.add(result.exec_time_ns)
     assert len(results) >= 3  # the platform axis moves the simulation
-
-
-def test_session_rejects_platform_and_machine_together():
-    with pytest.raises(ValueError, match="not both"):
-        Session(platform="desktop-1x8", machine=MachineSpec())
 
 
 def test_papi_substrate_respects_platform_events():

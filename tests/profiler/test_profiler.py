@@ -11,10 +11,10 @@ from repro.profiler.whatif import WhatIfSpec
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
-from repro.trace.dag import build_task_dag, work_span
 from repro.workloads import WorkloadSpec
 
 from tests.conftest import fib_body
+from tests.trace.dag_oracle import build_task_dag, work_span
 
 
 def profiled(body, *args, cores=4, keep_events=False):

@@ -5,20 +5,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.model.work import Work
-from repro.simcore.machine import Machine, MachineSpec
+from repro.platform.presets import default_platform
+from repro.simcore.machine import Machine
 
 
 def test_default_spec_matches_table_iii():
-    spec = MachineSpec()
-    assert spec.sockets == 2
-    assert spec.cores_per_socket == 10
+    spec = default_platform()
+    assert spec.num_sockets == 2
+    assert all(socket.cores == 10 for socket in spec.sockets)
     assert spec.total_cores == 20
-    assert spec.freq_ghz == 2.5
-    assert spec.l3_bytes_per_socket == 25 * 1024 * 1024
+    assert all(socket.freq_ghz == 2.5 for socket in spec.sockets)
+    assert all(socket.l3_bytes == 25 * 1024 * 1024 for socket in spec.sockets)
 
 
 def test_socket_of():
-    spec = MachineSpec()
+    spec = default_platform()
     assert spec.socket_of(0) == 0
     assert spec.socket_of(9) == 0
     assert spec.socket_of(10) == 1
@@ -72,7 +73,7 @@ def test_l3_pressure_inflates_traffic(machine):
     big = 30 * 1024 * 1024  # exceeds the 25 MB L3 on its own
     factor = machine.l3_pressure_factor(0, big)
     assert factor > 1.0
-    assert factor <= machine.spec.l3_max_factor
+    assert factor <= machine.platform.l3_max_factor
 
 
 def test_l3_no_pressure_small_ws(machine):
@@ -85,7 +86,7 @@ def test_working_set_accounting_balanced(machine):
     t2 = machine.segment_begin(1, work)
     machine.segment_end(t1, work)
     machine.segment_end(t2, work)
-    assert machine._active_ws[0] == 0
+    assert machine.resources.active_ws[0] == 0
 
 
 def test_working_set_negative_detected(machine):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simcore.memory import MemoryController
+from repro.platform.resource import MemoryController
 
 
 def make(peak=40e9, per_core=8e9, cross=1.6):

@@ -127,7 +127,7 @@ def test_kernel_exception_in_child():
     rt = StdRuntime(Engine(), Machine(), num_workers=2)
     with pytest.raises(KeyError, match="kernel child"):
         rt.run_to_completion(parent)
-    assert rt.stats.live_threads == 0
+    assert rt.stats.live_tasks == 0
 
 
 def test_engine_budget_guards_runaway_simulations():

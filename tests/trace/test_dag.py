@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.profiler.events import TraceRecorder
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
-from repro.trace import TraceRecorder
-from repro.trace.dag import build_task_dag, work_span
 
 from tests.conftest import fib_body
+from tests.trace.dag_oracle import build_task_dag, work_span
 
 
 def traced(body, *args, cores=4):
@@ -85,7 +85,7 @@ def test_wide_fan_out_parallelism():
 
 
 def test_work_matches_profile_totals():
-    from repro.trace.profile import build_profile
+    from repro.profiler.report import build_profile
 
     recorder, _, _, _ = traced(fib_body, 10)
     ws = work_span(recorder)

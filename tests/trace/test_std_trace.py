@@ -7,15 +7,15 @@ so post-mortem tools work on either runtime.
 
 from repro.kernel.scheduler import StdRuntime
 from repro.simcore.events import Engine
-from repro.simcore.machine import Machine, MachineSpec
-from repro.trace.dag import build_task_dag, work_span
-from repro.trace.recorder import TraceRecorder
+from repro.profiler.events import TraceRecorder
+from repro.simcore.machine import Machine
 
 from tests.conftest import fib_body
+from tests.trace.dag_oracle import build_task_dag, work_span
 
 
 def _run_traced(n=9):
-    rt = StdRuntime(Engine(), Machine(MachineSpec()), num_workers=2)
+    rt = StdRuntime(Engine(), Machine(), num_workers=2)
     recorder = TraceRecorder(rt)
     with recorder:
         rt.run_to_completion(fib_body, n)
@@ -53,7 +53,7 @@ def test_std_task_dag_and_work_span():
 
 def test_std_tracing_charges_instrumentation():
     """Attaching the recorder perturbs the run (per-dispatch cost)."""
-    rt_plain = StdRuntime(Engine(), Machine(MachineSpec()), num_workers=2)
+    rt_plain = StdRuntime(Engine(), Machine(), num_workers=2)
     rt_plain.run_to_completion(fib_body, 9)
     rt_traced, _ = _run_traced(9)
     assert rt_traced.engine.now > rt_plain.engine.now

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
+from repro.profiler.events import TRACE_EVENT_NS, TraceRecorder
+from repro.profiler.report import build_profile, render_profile
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
-from repro.trace import TraceRecorder, build_profile, to_chrome_trace
-from repro.trace.profile import render_profile
-from repro.trace.recorder import TRACE_EVENT_NS
+from repro.trace import to_chrome_trace
 
 from tests.conftest import fib_body
 
