@@ -13,12 +13,9 @@ Run:  python examples/adaptive_throttling.py
 
 from repro.apex.policy import PolicyEngine
 from repro.apex.throttle import IDLE_RATE_COUNTER, ConcurrencyThrottlePolicy
-from repro.counters.base import CounterEnvironment
 from repro.counters.providers import build_registry
-from repro.runtime.scheduler import HpxRuntime
+from repro.exec.node import build_backend, counter_environment
 from repro.simcore.clock import us
-from repro.simcore.events import Engine
-from repro.simcore.machine import Machine
 
 
 def phased_workload(ctx):
@@ -46,13 +43,11 @@ def phased_workload(ctx):
 
 
 def run(adaptive: bool) -> tuple[float, float, list]:
-    engine = Engine()
-    machine = Machine()
-    runtime = HpxRuntime(engine, machine, num_workers=8)
+    runtime = build_backend("hpx", cores=8)
+    engine = runtime.engine
     decisions = []
     if adaptive:
-        env = CounterEnvironment(engine=engine, runtime=runtime, machine=machine)
-        registry = build_registry(env)
+        registry = build_registry(counter_environment(runtime))
         policy = ConcurrencyThrottlePolicy(runtime=runtime, upper_idle=3500)
         pe = PolicyEngine(
             engine=engine,

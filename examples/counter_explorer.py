@@ -13,26 +13,18 @@ Demonstrates the full counter workflow on a live application:
 Run:  python examples/counter_explorer.py
 """
 
-from repro.counters.base import CounterEnvironment
 from repro.counters.manager import ActiveCounters, format_counter_values
 from repro.counters.query import PeriodicQuery
 from repro.counters.providers import build_registry
+from repro.exec.node import build_backend, counter_environment
 from repro.inncabs.suite import get_benchmark
-from repro.papi.hw import PapiSubstrate
-from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.clock import us
-from repro.simcore.events import Engine
-from repro.simcore.machine import Machine
 
 
 def main() -> None:
-    engine = Engine()
-    machine = Machine()
-    runtime = HpxRuntime(engine, machine, num_workers=4)
-    env = CounterEnvironment(
-        engine=engine, runtime=runtime, machine=machine, papi=PapiSubstrate(machine)
-    )
-    registry = build_registry(env)
+    runtime = build_backend("hpx", cores=4)
+    engine = runtime.engine
+    registry = build_registry(counter_environment(runtime))
 
     print("== discovery ==")
     for entry in registry.counter_types("/threads/time/*"):

@@ -12,13 +12,10 @@ Run:  python examples/parallel_algorithms.py
 
 import operator
 
-from repro.counters.base import CounterEnvironment
 from repro.counters.manager import ActiveCounters
 from repro.counters.providers import build_registry
+from repro.exec.node import build_backend, counter_environment
 from repro.runtime.executors import StaticChunkSize, transform_reduce
-from repro.runtime.scheduler import HpxRuntime
-from repro.simcore.events import Engine
-from repro.simcore.machine import Machine
 from repro.simcore.rng import derive_rng
 
 SAMPLES = 200_000
@@ -44,11 +41,8 @@ def estimate_pi(chunk_size: int, cores: int = 8):
         )
         return 4.0 * total / SAMPLES
 
-    engine = Engine()
-    machine = Machine()
-    runtime = HpxRuntime(engine, machine, num_workers=cores)
-    env = CounterEnvironment(engine=engine, runtime=runtime, machine=machine)
-    registry = build_registry(env)
+    runtime = build_backend("hpx", cores=cores)
+    registry = build_registry(counter_environment(runtime))
     counters = ActiveCounters(
         registry,
         [
@@ -61,7 +55,7 @@ def estimate_pi(chunk_size: int, cores: int = 8):
     counters.start()
     pi = runtime.run_to_completion(body)
     values = counters.evaluate_dict()
-    return pi, engine.now, values
+    return pi, runtime.engine.now, values
 
 
 def main() -> None:

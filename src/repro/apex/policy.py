@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.counters.manager import ActiveCounters
+from repro.counters.query import PeriodicQuery
 from repro.counters.registry import CounterRegistry
+from repro.counters.types import CounterValue
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,11 @@ class FiredDecision:
 
 
 class PolicyEngine:
-    """Sample counters on a period; apply policies on each sample."""
+    """Sample counters on a period; apply policies on each sample.
+
+    Sampling is a :class:`~repro.counters.query.PeriodicQuery` (out of
+    band, counters reset each period) whose sink runs the rules.
+    """
 
     def __init__(
         self,
@@ -56,39 +62,33 @@ class PolicyEngine:
         period_ns: int,
         rules: Sequence[PolicyRule] = (),
     ) -> None:
-        if period_ns <= 0:
-            raise ValueError("period_ns must be positive")
         self.engine = engine
-        self.runtime = runtime
-        self.active = ActiveCounters(registry, counter_specs)
-        self.period_ns = period_ns
         self.rules: list[PolicyRule] = list(rules)
         self.history: list[FiredDecision] = []
         self.samples: list[dict[str, float]] = []
-        self._running = False
+        self.query = PeriodicQuery(
+            ActiveCounters(registry, counter_specs),
+            engine=engine,
+            runtime=runtime,
+            interval_ns=period_ns,
+            sink=self._apply,
+            in_band=False,
+            reset_each_sample=True,
+        )
 
     def add_rule(self, rule: PolicyRule) -> None:
         self.rules.append(rule)
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.active.start()
-        self.active.reset_active_counters()
-        self.engine.schedule(self.period_ns, self._tick)
+        """Begin sampling; the first period is measured from now."""
+        self.query.start()
+        self.query.active.reset_active_counters()
 
     def stop(self) -> None:
-        self._running = False
-        self.active.stop()
+        self.query.stop()
 
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        if self.runtime.stats.live_tasks == 0:
-            self.stop()
-            return
-        sample = self.active.evaluate_dict(reset=True)
+    def _apply(self, values: list[CounterValue]) -> None:
+        sample = {v.name: v.value for v in values}
         self.samples.append(sample)
         for rule in self.rules:
             decision = rule.fn(sample, self.engine.now)
@@ -96,4 +96,3 @@ class PolicyEngine:
                 self.history.append(
                     FiredDecision(time_ns=self.engine.now, rule=rule.name, decision=decision)
                 )
-        self.engine.schedule(self.period_ns, self._tick)

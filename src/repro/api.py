@@ -11,15 +11,16 @@ together behind two calls::
     )
     print(result.exec_time_ms, result.counters)
 
-A :class:`Session` fixes the *environment* (machine spec, runtime kind,
+A :class:`Session` fixes the *environment* (platform, runtime kind,
 default core count, runtime parameters, event-engine factory); each
 :meth:`Session.run` executes one benchmark on a fresh engine and
 machine, so runs never share simulated state and remain bit-for-bit
 deterministic.
 
 Both runtimes implement :class:`repro.exec.backend.SchedulerBackend`,
-so the run path is the same for either: build the backend, attach the
-counter stack to its probe bus, run the engine, read the results.
+so the run path is the same for either: build the node
+(:mod:`repro.exec.node`), attach the counter stack to its probe bus,
+run the engine, read the results.
 """
 
 from __future__ import annotations
@@ -27,17 +28,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.counters.base import CounterEnvironment
 from repro.counters.providers import build_registry
 from repro.exec.cohort import CohortEngine
 from repro.exec.errors import DeadlockError
 from repro.exec.modes import CohortIneligibleError, ExecutionMode, resolve_mode
+from repro.exec.node import build_backend, counter_environment
 from repro.experiments.config import DEFAULT_COUNTERS, RUNTIMES, ExperimentConfig
 from repro.experiments.runner import RunResult
 from repro.inncabs.base import effective_locality_factor
-from repro.kernel.config import StdParams
-from repro.kernel.scheduler import StdRuntime
-from repro.papi.hw import PapiSubstrate
 from repro.platform.presets import resolve_platform
 from repro.platform.spec import PlatformSpec
 from repro.profiler.builder import ProfileBuilder, ProfileConfig
@@ -47,11 +45,8 @@ from repro.profiler.whatif import (
     predict_makespan_ns,
     resolve_body,
 )
-from repro.runtime.config import HpxParams
-from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
-from repro.simcore.machine import Machine
-from repro.telemetry.pipeline import DEFAULT_BUFFER_LIMIT, TelemetryConfig, TelemetryPipeline
+from repro.telemetry.pipeline import TelemetryConfig, TelemetryPipeline
 from repro.workloads import WorkloadSpec, as_workload_spec, get_workload
 
 __all__ = ["ProfileConfig", "Session", "RunResult", "TelemetryConfig", "WorkloadSpec"]
@@ -72,21 +67,15 @@ class Session:
         a platform file (``.toml``/``.json``) or a
         :class:`~repro.platform.spec.PlatformSpec`.  Defaults to the
         paper's Table III node (``"ivybridge-2x10"``).
-    hpx_params / std_params:
-        Runtime cost models; default to the calibrated paper values.
     config:
-        A full :class:`ExperimentConfig` to start from instead of the
-        defaults; ``platform``/``hpx_params``/``std_params`` still
-        override its fields when given.
+        A full :class:`ExperimentConfig` (runtime cost models included)
+        to start from instead of the calibrated paper defaults;
+        ``platform`` still overrides its field when given.
     engine_factory:
         Zero-argument callable building the discrete-event engine for
         each run.  Defaults to :class:`repro.simcore.events.Engine`;
         the equivalence tests pass the legacy reference engine here to
         check that both engines give bit-identical results.
-    telemetry:
-        Default :class:`~repro.telemetry.pipeline.TelemetryConfig` for
-        every :meth:`run`: counter set, periodic sampling interval,
-        sinks and buffering.  Overridable per run.
     """
 
     def __init__(
@@ -95,11 +84,8 @@ class Session:
         runtime: str = "hpx",
         cores: int = 1,
         platform: PlatformSpec | str | None = None,
-        hpx_params: HpxParams | None = None,
-        std_params: StdParams | None = None,
         config: ExperimentConfig | None = None,
         engine_factory: Callable[[], Any] | None = None,
-        telemetry: TelemetryConfig | None = None,
     ) -> None:
         if runtime not in RUNTIMES:
             expected = ", ".join(RUNTIMES)
@@ -108,17 +94,10 @@ class Session:
             raise ValueError(f"cores must be >= 1, got {cores}")
         self.runtime = runtime
         self.cores = cores
-        base = config or ExperimentConfig()
-        overrides: dict[str, Any] = {}
+        self.config = config or ExperimentConfig()
         if platform is not None:
-            overrides["platform"] = resolve_platform(platform)
-        if hpx_params is not None:
-            overrides["hpx"] = hpx_params
-        if std_params is not None:
-            overrides["std"] = std_params
-        self.config = replace(base, **overrides) if overrides else base
+            self.config = replace(self.config, platform=resolve_platform(platform))
         self.engine_factory: Callable[[], Any] = engine_factory or Engine
-        self.telemetry = telemetry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Session(runtime={self.runtime!r}, cores={self.cores})"
@@ -167,8 +146,8 @@ class Session:
 
         Every counter reading flows through one
         :class:`~repro.telemetry.pipeline.TelemetryPipeline`
-        (``telemetry=`` overrides the session's default config): the
-        result carries the full sample frame as ``result.telemetry``
+        (``telemetry=`` configures it for this run): the result
+        carries the full sample frame as ``result.telemetry``
         and its final totals as the legacy ``result.counters`` dict,
         and configured sinks (CSV, JSONL, Chrome-trace, ...) stream
         every sample as it is recorded.
@@ -189,21 +168,18 @@ class Session:
         to an unprofiled one (each trace event charges instrumentation,
         like the recorder), which is why what-if replays profile too.
         """
-        config = self.config
-        tele = telemetry if telemetry is not None else self.telemetry
+        tele = telemetry or TelemetryConfig()
         ncores = self.cores if cores is None else cores
         workload = as_workload_spec(benchmark)
         bench = get_workload(workload.name).benchmark
         root_fn, root_args, merged = workload.build(params)
         exec_mode = resolve_mode(mode if mode is not None else merged.get("mode"))
+        specs = counters if counters is not None else tele.counters
 
         profile_cfg = ProfileConfig.coerce(profile)
         if profile_cfg is None and collect_counters:
             # Asking for a /profiler counter implies profiling.
-            specs_requested = counters
-            if specs_requested is None and tele is not None:
-                specs_requested = tele.counters
-            if specs_requested and any(s.startswith("/profiler") for s in specs_requested):
+            if specs and any(s.startswith("/profiler") for s in specs):
                 profile_cfg = ProfileConfig()
         if exec_mode is ExecutionMode.COHORT and (
             profile_cfg is not None or work_rewriter is not None
@@ -223,28 +199,28 @@ class Session:
                     "parameters; run it in exact mode"
                 )
 
-        engine = self.engine_factory()
-        machine = Machine(config.platform)
+        options: dict[str, Any] = {"params": self.config.std}
+        if self.runtime == "hpx":
+            options = {
+                "params": self.config.hpx,
+                "locality_traffic_factor": effective_locality_factor(
+                    bench.info.hpx_locality_factor, ncores
+                ),
+            }
+        rt = build_backend(
+            self.runtime,
+            self.engine_factory(),
+            cores=ncores,
+            platform=self.config.platform,
+            **options,
+        )
+        engine, machine = rt.engine, rt.machine
         out = RunResult(
             benchmark=workload.name,
             runtime=self.runtime,
             cores=ncores,
             mode=exec_mode.value,
         )
-
-        rt: Any
-        if self.runtime == "hpx":
-            rt = HpxRuntime(
-                engine,
-                machine,
-                num_workers=ncores,
-                params=config.hpx,
-                locality_traffic_factor=effective_locality_factor(
-                    bench.info.hpx_locality_factor, ncores
-                ),
-            )
-        else:
-            rt = StdRuntime(engine, machine, num_workers=ncores, params=config.std)
 
         builder: ProfileBuilder | None = None
         if profile_cfg is not None:
@@ -255,31 +231,16 @@ class Session:
 
         pipeline: TelemetryPipeline | None = None
         query = None
-        interval_ns = query_interval_ns
-        if interval_ns is None and tele is not None:
-            interval_ns = tele.interval_ns
+        interval_ns = query_interval_ns if query_interval_ns is not None else tele.interval_ns
         if collect_counters:
-            env = CounterEnvironment(
-                engine=engine,
-                runtime=rt,
-                machine=machine,
-                papi=PapiSubstrate(machine),
-                profiler=builder,
-            )
+            env = counter_environment(rt, profiler=builder)
             registry = build_registry(env, workload=workload.name)
-            specs = counters
-            if specs is None and tele is not None:
-                specs = tele.counters
             pipeline = TelemetryPipeline(
                 registry,
                 specs or DEFAULT_COUNTERS,
-                run_id=(
-                    tele.run_id
-                    if tele is not None and tele.run_id
-                    else f"{workload.name}/{self.runtime}/c{ncores}"
-                ),
-                sinks=tele.sinks if tele is not None else (),
-                buffer_limit=tele.buffer_limit if tele is not None else DEFAULT_BUFFER_LIMIT,
+                run_id=tele.run_id or f"{workload.name}/{self.runtime}/c{ncores}",
+                sinks=tele.sinks,
+                buffer_limit=tele.buffer_limit,
             )
             pipeline.start()
             pipeline.reset()
@@ -292,7 +253,7 @@ class Session:
                     runtime=rt,
                     interval_ns=interval_ns,
                     sink=query_sink,
-                    in_band=tele.in_band if tele is not None else True,
+                    in_band=tele.in_band,
                 )
                 query.start()
         elif interval_ns is not None:
@@ -386,7 +347,7 @@ class Session:
         counters: Sequence[str] | None,
         collect_counters: bool,
         query_interval_ns: int | None,
-        telemetry: TelemetryConfig | None,
+        telemetry: TelemetryConfig,
     ) -> list[WhatIfResult]:
         """Validate each what-if experiment with a cost-rewritten replay.
 
@@ -396,7 +357,7 @@ class Session:
         telemetry sinks are stripped, to avoid emitting the replay's
         samples into the baseline's outputs.
         """
-        replay_tele = replace(telemetry, sinks=()) if telemetry is not None else None
+        replay_tele = replace(telemetry, sinks=())
         base = builder.analysis()
         bodies = set(builder.body_names())
         results: list[WhatIfResult] = []

@@ -9,8 +9,7 @@ One file per campaign under ``results/campaigns/``:
 - ``cells`` — every (benchmark, runtime, cores, sample) run with its
   cache key and the per-run :class:`~repro.experiments.runner.RunResult`
   fields; counter readings are stored as the run's full telemetry
-  sample stream (``telemetry`` rows, schema 2) rather than a final
-  totals dict;
+  sample stream (``telemetry`` rows) rather than a final totals dict;
 - ``points`` — per (benchmark, runtime, cores) aggregates (medians,
   abort status) — the exact data behind the paper's figures and tables.
 
@@ -34,14 +33,13 @@ from repro.experiments.harness import ScalingCurve, aggregate_point
 from repro.experiments.runner import RunResult
 from repro.telemetry.frame import TelemetryFrame
 
-#: Artifact format version; bump on breaking layout changes.
+#: Artifact format version; bump on breaking layout changes (only the
+#: current schema loads).
 #: Schema 2: cells persist the full telemetry sample stream
-#: (``telemetry`` rows) instead of the final ``counters`` dict; schema-1
-#: files still load (their counter dicts are adapted into one-shot
-#: frames).
+#: (``telemetry`` rows) instead of the final ``counters`` dict.
 #: Schema 3: profiled cells persist a ``profile`` summary dict (the
 #: :meth:`~repro.profiler.report.RunProfile.to_json_dict` form) and the
-#: spec gained its ``profile`` flag; schema-1/2 files still load.
+#: spec gained its ``profile`` flag.
 ARTIFACT_SCHEMA = 3
 
 #: RunResult fields persisted per cell (result/query_samples are not
@@ -88,21 +86,9 @@ def run_result_to_dict(result: RunResult) -> dict[str, Any]:
 
 
 def run_result_from_dict(cell: Cell, data: Mapping[str, Any]) -> RunResult:
-    """Rebuild a :class:`RunResult` from its persisted form.
-
-    Accepts both layouts: schema-2 dicts carry ``telemetry`` sample
-    rows; legacy schema-1 dicts carry only the final ``counters`` dict,
-    which is adapted into a one-shot frame.
-    """
-    # ``mode`` arrived with the execution-mode architecture; artifacts
-    # written before it default to the only mode that existed.
-    fields = {name: data[name] for name in RESULT_FIELDS if name != "telemetry" and name in data}
-    if "telemetry" in data:
-        frame = TelemetryFrame.from_rows(data["telemetry"])
-    else:  # legacy schema-1 cell
-        frame = TelemetryFrame.from_counters(
-            dict(data["counters"]), timestamp_ns=int(data.get("exec_time_ns", 0))
-        )
+    """Rebuild a :class:`RunResult` from its persisted form."""
+    fields = {name: data[name] for name in RESULT_FIELDS if name != "telemetry"}
+    frame = TelemetryFrame.from_rows(data["telemetry"])
     fields["telemetry"] = frame if len(frame) else None
     fields["counters"] = frame.totals()
     return RunResult(benchmark=cell.benchmark, runtime=cell.runtime, cores=cell.cores, **fields)
@@ -256,9 +242,9 @@ class CampaignArtifact:
         if data.get("kind") != "repro-campaign":
             raise ValueError("not a campaign artifact (missing kind=repro-campaign)")
         schema = data.get("schema")
-        if schema not in (1, 2, ARTIFACT_SCHEMA):
+        if schema != ARTIFACT_SCHEMA:
             raise ValueError(
-                f"unsupported artifact schema {schema!r}; this build reads 1..{ARTIFACT_SCHEMA}"
+                f"unsupported artifact schema {schema!r}; this build reads {ARTIFACT_SCHEMA}"
             )
         return cls(
             spec=CampaignSpec.from_json_dict(data["spec"]),

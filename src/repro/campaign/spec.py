@@ -245,8 +245,7 @@ class CampaignSpec:
             counter_specs=(
                 tuple(data["counter_specs"]) if data["counter_specs"] is not None else None
             ),
-            # Pre-profiler artifacts (schema <= 2) know nothing of it.
-            profile=data.get("profile", False),
+            profile=data["profile"],
         )
 
     def spec_id(self) -> str:

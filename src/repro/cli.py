@@ -38,7 +38,6 @@ import json
 import sys
 from typing import Any, Sequence
 
-from repro.counters.base import CounterEnvironment
 from repro.counters.manager import format_counter_values
 from repro.experiments.config import DEFAULT_COUNTERS, ExperimentConfig
 from repro.experiments.figures import (
@@ -60,10 +59,6 @@ from repro.experiments.report import (
     render_table5,
 )
 from repro.inncabs.suite import available_benchmarks
-from repro.papi.hw import PapiSubstrate
-from repro.runtime.scheduler import HpxRuntime
-from repro.simcore.events import Engine
-from repro.simcore.machine import Machine
 
 
 def _parse_params(pairs: Sequence[str]) -> dict[str, Any]:
@@ -153,6 +148,7 @@ def cmd_counters_list(args: argparse.Namespace) -> int:
     import fnmatch
 
     from repro.counters.providers import build_registry
+    from repro.exec.node import build_backend, counter_environment
     from repro.platform.presets import resolve_platform
     from repro.workloads import WorkloadSpec
 
@@ -173,13 +169,8 @@ def cmd_counters_list(args: argparse.Namespace) -> int:
     # Cores follow the named platform's full shape unless given
     # explicitly; the bare invocation keeps its historical 4 workers.
     cores = args.cores if args.cores is not None else (platform.total_cores if args.platform else 4)
-    engine = Engine()
-    machine = Machine(platform)
-    runtime = HpxRuntime(engine, machine, num_workers=cores)
-    env = CounterEnvironment(
-        engine=engine, runtime=runtime, machine=machine, papi=PapiSubstrate(machine)
-    )
-    registry = build_registry(env, workload=workload_name)
+    backend = build_backend("hpx", cores=cores, platform=platform)
+    registry = build_registry(counter_environment(backend), workload=workload_name)
     provider_filters = list(getattr(args, "providers", None) or [])
     matched = 0
     available_providers: set[str] = set()

@@ -15,18 +15,14 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.counters.base import CounterEnvironment
 from repro.counters.providers import build_registry
 from repro.counters.registry import CounterRegistry
 from repro.distributed.agas import AgasCache, AgasService
 from repro.distributed.parcel import NetworkParams, Parcel, Parcelport
-from repro.papi.hw import PapiSubstrate
+from repro.exec.node import build_backend, counter_environment
 from repro.platform.presets import resolve_platform
 from repro.platform.spec import PlatformSpec
-from repro.runtime.config import HpxParams
-from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
-from repro.simcore.machine import Machine
 
 QUERY_COST_NS = 800  # in-band evaluation cost on the target locality
 
@@ -41,23 +37,14 @@ class Locality:
         *,
         cores: int,
         platform: PlatformSpec,
-        hpx_params: HpxParams,
         network: NetworkParams,
         agas: AgasService,
     ) -> None:
         self.id = locality_id
-        self.machine = Machine(platform)
-        self.runtime = HpxRuntime(engine, self.machine, num_workers=cores, params=hpx_params)
-        self.runtime.locality_id = locality_id
+        self.runtime = build_backend("hpx", engine, cores=cores, platform=platform)
         self.parcelport = Parcelport(locality_id, engine, network)
         self.agas_cache = AgasCache(agas)
-        env = CounterEnvironment(
-            engine=engine,
-            runtime=self.runtime,
-            machine=self.machine,
-            papi=PapiSubstrate(self.machine),
-        )
-        self.registry: CounterRegistry = build_registry(env)
+        self.registry: CounterRegistry = build_registry(counter_environment(self.runtime))
 
 
 class DistributedSystem:
@@ -70,23 +57,19 @@ class DistributedSystem:
         localities: int,
         cores_per_locality: int,
         platform: PlatformSpec | str | None = None,
-        hpx_params: HpxParams | None = None,
-        network: NetworkParams | None = None,
     ) -> None:
         if localities < 1:
             raise ValueError("need at least one locality")
         self.engine = engine
-        self.network = network or NetworkParams()
+        self.network = NetworkParams()
         self.agas = AgasService()
         spec = resolve_platform(platform)
-        params = hpx_params or HpxParams()
         self.localities = [
             Locality(
                 i,
                 engine,
                 cores=cores_per_locality,
                 platform=spec,
-                hpx_params=params,
                 network=self.network,
                 agas=self.agas,
             )

@@ -22,7 +22,10 @@ is runtime-independent about executing them:
 - :mod:`repro.exec.cohort` — the mesoscale engine: advances whole
   homogeneous task populations per event using mean-value math from
   the resource model, materializing exact probe deltas at cohort
-  boundaries (see ``docs/cohort.md``).
+  boundaries (see ``docs/cohort.md``);
+- :mod:`repro.exec.node` — the node builder, the one place a backend
+  and its counter environment are constructed (imported directly, not
+  re-exported here: it imports the runtimes, which import this package).
 
 Adding a third runtime means implementing :class:`SchedulerBackend`
 (see ``docs/backends.md``); the interpreter, the counters, tracing and

@@ -24,7 +24,7 @@ probe point, streamable through any telemetry sink.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.inncabs.base import DEFAULT_SEED
 from repro.telemetry.sample import Sample

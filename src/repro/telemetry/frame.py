@@ -106,8 +106,8 @@ class TelemetryFrame:
     ) -> "TelemetryFrame":
         """Adapt a legacy ``{name: value}`` dict into a one-shot frame.
 
-        The load path for pre-telemetry campaign artifacts (schema 1)
-        and for any result object that only carries a counter dict.
+        Used for aggregated points (medians have no sample stream) and
+        for any result object that only carries a counter dict.
         """
         units = units or {}
         return cls(

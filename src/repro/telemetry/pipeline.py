@@ -22,7 +22,7 @@ export path the paper describes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.counters.manager import ActiveCounters
@@ -41,9 +41,9 @@ DEFAULT_BUFFER_LIMIT = 65_536
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """Declarative telemetry wiring for :class:`repro.api.Session`.
+    """Declarative telemetry wiring for one :meth:`repro.api.Session.run`.
 
-    ``counters=None`` means the session's default set (the paper's
+    ``counters=None`` means the run's default set (the paper's
     software + PAPI counters); ``interval_ns`` enables periodic
     sampling during the run (in-band by default, i.e. each sample costs
     simulated scheduler time); ``sinks`` receive every sample as it is

@@ -6,13 +6,12 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
+from repro.exec.node import build_backend
 from repro.experiments.config import ExperimentConfig
 from repro.inncabs.suite import get_benchmark
 from repro.kernel.scheduler import StdRuntime
 from repro.kernel.thread import OSThread
 from repro.simcore.clock import s as seconds
-from repro.simcore.events import Engine
-from repro.simcore.machine import Machine
 
 
 class ToolOutcome(enum.Enum):
@@ -143,9 +142,10 @@ def run_with_tool(
     merged = bench.params_with_defaults(params)
     root_fn, root_args = bench.make_root(merged)
 
-    engine = Engine()
-    machine = Machine(config.platform)
-    rt = InstrumentedStdRuntime(engine, machine, num_workers=cores, params=config.std, tool=tool)
+    rt = build_backend(
+        InstrumentedStdRuntime, cores=cores, platform=config.platform, params=config.std, tool=tool
+    )
+    engine = rt.engine
     result = ToolRunResult(benchmark=benchmark, tool=tool.name, outcome=ToolOutcome.COMPLETED)
     try:
         future = rt.submit(root_fn, *root_args)

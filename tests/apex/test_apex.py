@@ -34,8 +34,22 @@ def test_engine_stops_at_quiescence(registry, hpx4, engine):
     pe.start()
     hpx4.run_to_completion(fib_body, 10)
     engine.run()
-    assert not pe._running
+    assert not pe.query._running
     assert engine.pending_events == 0
+
+
+def test_restart_samples_once_per_period(registry, hpx4, engine):
+    """start -> stop -> start leaves one sampling chain, not two."""
+    pe = make_engine(
+        registry, hpx4, engine, rules=[PolicyRule("tick", lambda s, now: PolicyDecision("t"))]
+    )
+    pe.start()
+    pe.stop()
+    pe.start()
+    hpx4.run_to_completion(fib_body, 14)
+    times = [d.time_ns for d in pe.history]
+    assert len(times) >= 2
+    assert times == [us(50) * (k + 1) for k in range(len(times))]
 
 
 def test_rules_fire_and_are_recorded(registry, hpx4, engine):
@@ -108,3 +122,18 @@ def test_throttle_unparks_under_load(registry, hpx4, engine):
     decision = policy.rule().fn({IDLE_RATE_COUNTER: 0.0}, 0)
     assert decision is not None and decision.action == "unpark-worker"
     assert hpx4.active_workers == 2
+
+
+def test_adaptive_throttling_example_decisions_are_pinned():
+    """The example's seven park decisions, one per 300 us period from 1.20 ms."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "examples" / "adaptive_throttling.py"
+    spec = importlib.util.spec_from_file_location("adaptive_throttling", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    _, _, decisions = module.run(adaptive=True)
+    assert [(d.time_ns, d.rule, d.decision.action, d.decision.value) for d in decisions] == [
+        (us(1200 + 300 * k), "concurrency-throttle", "park-worker", 7 - k) for k in range(7)
+    ]

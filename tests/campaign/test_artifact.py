@@ -87,20 +87,30 @@ def test_run_result_round_trips_through_telemetry_rows(small_run):
     assert run_result_to_dict(restored) == dict(cr.result)
 
 
-def test_legacy_schema1_artifact_still_loads(small_run):
-    """Pre-telemetry artifacts (schema 1, counters dicts) load: counter
-    dicts are adapted into one-shot frames with identical totals."""
+@pytest.mark.parametrize("schema", [1, 2])
+def test_old_schema_artifact_is_rejected(small_run, schema):
+    """Only the current schema loads; older layouts name their schema."""
     data = small_run.artifact.to_json_dict()
-    data["schema"] = 1
-    for cell in data["cells"]:
-        rows = cell["result"].pop("telemetry")
-        cell["result"]["counters"] = {row["name"]: row["value"] for row in rows}
-    legacy = CampaignArtifact.from_json_dict(data)
-    for old, new in zip(small_run.artifact.cells, legacy.cells):
-        assert old.run_result().counters == new.run_result().counters
-    # Aggregation over the adapted cells matches the native artifact.
-    native = small_run.artifact.curve("fib", "hpx")
-    adapted = legacy.curve("fib", "hpx")
-    for mine, theirs in zip(native.points, adapted.points):
-        assert mine.counters == theirs.counters
-        assert mine.median_exec_ns == theirs.median_exec_ns
+    data["schema"] = schema
+    if schema == 1:  # the pre-telemetry layout: a final counters dict
+        for cell in data["cells"]:
+            rows = cell["result"].pop("telemetry")
+            cell["result"]["counters"] = {row["name"]: row["value"] for row in rows}
+    with pytest.raises(ValueError, match=f"unsupported artifact schema {schema}"):
+        CampaignArtifact.from_json_dict(data)
+
+
+def test_committed_campaign_artifacts_are_current_schema():
+    """Every repro-campaign JSON under results/ is at ARTIFACT_SCHEMA and loads."""
+    import json
+    from pathlib import Path
+
+    results = Path(__file__).resolve().parents[2] / "results"
+    found = []
+    for path in sorted(results.rglob("*.json")):
+        data = json.loads(path.read_text())
+        if isinstance(data, dict) and data.get("kind") == "repro-campaign":
+            assert data["schema"] == ARTIFACT_SCHEMA, path.name
+            assert CampaignArtifact.load(path).points_json() == data["points"], path.name
+            found.append(path.name)
+    assert len(found) >= 3, found

@@ -1,7 +1,5 @@
 """TelemetryPipeline: resolution, sampling, buffering, sink fan-out."""
 
-import io
-
 import pytest
 
 from repro.telemetry.frame import TelemetryFrame

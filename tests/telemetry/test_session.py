@@ -27,29 +27,16 @@ def test_collect_counters_false_means_no_frame():
     assert result.counters == {}
 
 
-def test_session_level_telemetry_config_applies_to_runs():
+def test_run_telemetry_config_applies_counters_sinks_and_run_id():
     sink = TelemetryFrame()
-    session = Session(
-        runtime="hpx",
-        cores=2,
+    result = Session(runtime="hpx", cores=2).run(
+        WorkloadSpec.parse("fib"),
+        params={"n": 10},
         telemetry=TelemetryConfig(counters=("/runtime/uptime",), sinks=(sink,), run_id="sess"),
     )
-    result = session.run(WorkloadSpec.parse("fib"), params={"n": 10})
     assert result.telemetry.names() == ["/runtime{locality#0/total}/uptime"]
     assert len(sink) == 1
     assert sink.samples[0].run_id == "sess"
-
-
-def test_per_run_telemetry_overrides_session_default():
-    session = Session(
-        runtime="hpx", cores=2, telemetry=TelemetryConfig(counters=("/runtime/uptime",))
-    )
-    result = session.run(
-        WorkloadSpec.parse("fib"),
-        params={"n": 10},
-        telemetry=TelemetryConfig(counters=("/threads/count/cumulative",)),
-    )
-    assert result.telemetry.names() == ["/threads{locality#0/total}/count/cumulative"]
 
 
 def test_interval_sampling_streams_to_sinks():

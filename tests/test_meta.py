@@ -59,6 +59,12 @@ def test_public_api_surface():
         assert not hasattr(machine, attr)
     assert "machine" not in inspect.signature(Session).parameters
     assert "machine_spec" not in inspect.signature(DistributedSystem).parameters
+    # Runtime cost models travel in ``config=``, telemetry per run, and
+    # the network model is fixed.
+    for option in ("hpx_params", "std_params", "telemetry"):
+        assert option not in inspect.signature(Session).parameters, option
+    for option in ("hpx_params", "network"):
+        assert option not in inspect.signature(DistributedSystem).parameters, option
     with pytest.raises(ValueError, match="unknown runtime"):
         Session(runtime="kernel")
     for verb in ("list-benchmarks", "list-counters"):
@@ -116,6 +122,50 @@ def test_third_party_imports_are_declared_dependencies():
                     continue
                 undeclared.setdefault(top, []).append(str(path.relative_to(ROOT)))
     assert not undeclared, f"imported but not in [project].dependencies: {undeclared}"
+
+
+def test_nodes_are_built_only_by_the_node_builder():
+    """One run path: ``Machine``, ``PapiSubstrate`` and
+    ``CounterEnvironment`` are constructed only in ``repro.exec.node``,
+    and no other module under src/ calls a scheduler backend's
+    constructor (subclasses such as instrumented runtimes included)."""
+    import ast
+
+    from repro.exec.node import BACKENDS
+    from repro.experiments.config import RUNTIMES
+
+    assert tuple(BACKENDS) == RUNTIMES
+    builder = ROOT / "src" / "repro" / "exec" / "node.py"
+    trees = {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src").rglob("*.py"))}
+    backends = {cls.__name__ for cls in BACKENDS.values()}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id in backends for base in node.bases
+            ):
+                backends.add(node.name)
+    constructors = {"Machine", "PapiSubstrate", "CounterEnvironment"} | backends
+
+    def called(tree: ast.AST) -> list[tuple[int, str]]:
+        calls = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in constructors:
+                    calls.append((node.lineno, name))
+        return calls
+
+    assert {"Machine", "PapiSubstrate", "CounterEnvironment"} <= {
+        name for _, name in called(trees[builder])
+    }
+    elsewhere = [
+        f"{path.relative_to(ROOT)}:{line} {name}("
+        for path, tree in trees.items()
+        if path != builder
+        for line, name in called(tree)
+    ]
+    assert not elsewhere, f"nodes built outside repro.exec.node: {elsewhere}"
 
 
 def test_counter_docs_cover_registry(registry):
